@@ -85,17 +85,18 @@
 //! --baseline <file>         fail if coverage regressed vs a previous
 //!                           --report file
 //! --shards <n>              spread injections over N work-stealing
-//!                           worker shards (one --design at a time;
-//!                           verdicts and events stay bit-identical to
-//!                           --shards 1)
+//!                           worker shards (default 1; reports and
+//!                           events are bit-identical at any count)
 //! --checkpoint <file>       write fpgatest-checkpoint-v1 snapshots of
-//!                           the completed prefix while running
+//!                           the completed prefix while running (one
+//!                           --design at a time)
 //! --checkpoint-every <k>    merged injections between snapshots
 //! --resume <file>           skip the ranges a checkpoint already holds
+//!                           (one --design at a time)
 //! ```
 //!
-//! A sharded campaign interrupted by SIGINT exits 130 after saving a
-//! final checkpoint; `--resume` continues it to the same bytes an
+//! A campaign interrupted by SIGINT exits 130 after saving a final
+//! checkpoint; `--resume` continues it to the same bytes an
 //! uninterrupted run produces.
 //!
 //! Exit codes: 0 = everything passed; 1 = verification failed (or fault
@@ -104,7 +105,10 @@
 //! (tick or wall-clock) tripped.
 
 use fpgatest::events::EventSink;
-use fpgatest::faults::{campaign_json, run_campaign, CampaignOptions, FaultSpec, InjectionOutcome};
+use fpgatest::faults::{
+    campaign_json, run_campaign_sharded, CampaignOptions, FaultSpec, InjectionOutcome,
+    ShardedCampaignOptions,
+};
 use fpgatest::flow::{Engine, FlowOptions, TestFlow};
 use fpgatest::ledger::{self, LedgerEntry};
 use fpgatest::suite::{CaseResult, SuiteReport};
@@ -484,7 +488,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut events_out: Option<String> = None;
     let mut ledger_out: Option<PathBuf> = None;
-    let mut shards: Option<usize> = None;
+    let mut shards = 1usize;
     let mut checkpoint: Option<PathBuf> = None;
     let mut checkpoint_every = 0u64;
     let mut resume: Option<PathBuf> = None;
@@ -528,11 +532,9 @@ fn cmd_faults(args: &[String]) -> ExitCode {
                 "--events-out" => events_out = Some(value("--events-out")?),
                 "--ledger" => ledger_out = Some(PathBuf::from(value("--ledger")?)),
                 "--shards" => {
-                    shards = Some(
-                        value("--shards")?
-                            .parse()
-                            .map_err(|_| "--shards needs an integer".to_string())?,
-                    );
+                    shards = value("--shards")?
+                        .parse()
+                        .map_err(|_| "--shards needs an integer".to_string())?;
                 }
                 "--checkpoint" => checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
                 "--checkpoint-every" => {
@@ -591,57 +593,41 @@ fn cmd_faults(args: &[String]) -> ExitCode {
         max_ticks,
         events: sink,
     };
-    let sharded = shards.is_some() || checkpoint.is_some() || resume.is_some();
+    if (checkpoint.is_some() || resume.is_some()) && cases.len() != 1 {
+        eprintln!(
+            "error: --checkpoint and --resume run one design at a time; narrow with --design \
+             ({} cases matched)",
+            cases.len()
+        );
+        return ExitCode::from(2);
+    }
+    fpgatest::campaign::install_sigint();
+    let shard = ShardedCampaignOptions {
+        shards: shards.max(1),
+        checkpoint,
+        checkpoint_every,
+        resume,
+        stop: None,
+        sigint: true,
+    };
     let campaigns_started = Instant::now();
     let mut campaigns = Vec::new();
-    if sharded {
-        if cases.len() != 1 {
-            eprintln!(
-                "error: sharded campaigns run one design at a time; narrow with --design \
-                 ({} cases matched)",
-                cases.len()
-            );
-            return ExitCode::from(2);
-        }
-        fpgatest::campaign::install_sigint();
-        let shard = fpgatest::faults::ShardedCampaignOptions {
-            shards: shards.unwrap_or(1),
-            checkpoint,
-            checkpoint_every,
-            resume,
-            stop: None,
-            sigint: true,
-        };
-        match fpgatest::faults::run_campaign_sharded(cases[0], &options, &shard) {
+    for case in cases {
+        match run_campaign_sharded(case, &options, &shard) {
             Ok(outcome) => {
                 if let Some(note) = &outcome.salvage {
                     eprintln!("fpgatest: {note}");
                 }
                 if outcome.interrupted {
-                    eprintln!(
-                        "fpgatest: interrupted; checkpoint holds the completed prefix"
-                    );
+                    eprintln!("fpgatest: interrupted; checkpoint holds the completed prefix");
                     return ExitCode::from(130);
                 }
                 print!("{}", outcome.report.render());
                 campaigns.push(outcome.report);
             }
             Err(e) => {
-                eprintln!("error: campaign '{}': {e}", cases[0].name);
+                eprintln!("error: campaign '{}': {e}", case.name);
                 return ExitCode::from(2);
-            }
-        }
-    } else {
-        for case in cases {
-            match run_campaign(case, &options) {
-                Ok(report) => {
-                    print!("{}", report.render());
-                    campaigns.push(report);
-                }
-                Err(e) => {
-                    eprintln!("error: campaign '{}': {e}", case.name);
-                    return ExitCode::from(2);
-                }
             }
         }
     }
@@ -675,18 +661,18 @@ fn cmd_faults(args: &[String]) -> ExitCode {
         let hung: usize = campaigns.iter().map(|c| c.count(InjectionOutcome::Hung)).sum();
         let injections: usize = campaigns.iter().map(|c| c.injections.len()).sum();
         let denom = detected + silent + hung;
-        let mut counters = vec![("injections".to_string(), injections as f64)];
-        if sharded {
-            counters.push(("shards".to_string(), shards.unwrap_or(1).max(1) as f64));
-            counters.push((
+        let counters = vec![
+            ("injections".to_string(), injections as f64),
+            ("shards".to_string(), shard.shards as f64),
+            (
                 "sites_per_sec".to_string(),
                 if campaigns_seconds > 0.0 {
                     injections as f64 / campaigns_seconds
                 } else {
                     0.0
                 },
-            ));
-        }
+            ),
+        ];
         let entry = LedgerEntry {
             engine: engine.to_string(),
             wall_seconds: campaigns_seconds,
@@ -785,30 +771,6 @@ fn cmd_trends(args: &[String]) -> ExitCode {
     }
 }
 
-/// SIGINT flag for `serve`: the handler only stores, a watcher thread
-/// does the actual drain (signal handlers must not take locks).
-static SERVE_SIGINT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-extern "C" fn serve_on_sigint(_signum: i32) {
-    SERVE_SIGINT.store(true, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Installs the SIGINT hook via libc's `signal` (std links libc; no
-/// crate needed). Unix-only; elsewhere `shutdown` requests still work.
-#[cfg(unix)]
-fn install_serve_sigint() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    unsafe {
-        signal(SIGINT, serve_on_sigint as *const () as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_serve_sigint() {}
-
 fn cmd_serve(args: &[String]) -> ExitCode {
     use fpgatest::serve::{ServeOptions, Server};
     let mut listen = "127.0.0.1:7411".to_string();
@@ -905,10 +867,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         eprintln!("fpgatest serve: CHAOS MODE — workers will be killed deterministically (seed {seed})");
     }
     let _ = std::io::stdout().flush();
-    install_serve_sigint();
+    // The signal handler only stores a flag; this watcher does the
+    // drain (signal handlers must not take locks).
+    fpgatest::campaign::install_sigint();
     let handle = server.shutdown_handle();
     std::thread::spawn(move || loop {
-        if SERVE_SIGINT.load(std::sync::atomic::Ordering::SeqCst) {
+        if fpgatest::campaign::sigint_pending() {
             eprintln!("fpgatest serve: SIGINT — draining");
             handle.shutdown();
             break;

@@ -414,6 +414,105 @@ impl Default for ShardOptions {
     }
 }
 
+/// The runtime knobs a campaign front end (faults, fuzz) takes on top of
+/// its own options. None of them changes a verdict.
+#[derive(Debug, Clone, Default)]
+pub struct ShardedCampaignOptions {
+    /// Worker-shard count (clamped to at least 1).
+    pub shards: usize,
+    /// Where to write `fpgatest-checkpoint-v1` snapshots (`None` = no
+    /// checkpointing).
+    pub checkpoint: Option<std::path::PathBuf>,
+    /// Merged units between snapshots (0 = every work chunk).
+    pub checkpoint_every: u64,
+    /// Resume from this checkpoint: its completed prefix is re-merged
+    /// (and its events re-emitted) without re-running.
+    pub resume: Option<std::path::PathBuf>,
+    /// Cooperative stop flag (tests; SIGINT uses [`install_sigint`]).
+    pub stop: Option<Arc<AtomicBool>>,
+    /// Stop when the process-wide SIGINT flag fires.
+    pub sigint: bool,
+}
+
+impl ShardedCampaignOptions {
+    /// The [`run_sharded`] options for a campaign cut into `chunk`-unit
+    /// chunks.
+    pub fn shard_options(&self, chunk: u64) -> ShardOptions {
+        let checkpoint_every = match (&self.checkpoint, self.checkpoint_every) {
+            (None, _) => 0,
+            (Some(_), 0) => chunk,
+            (Some(_), every) => every,
+        };
+        ShardOptions {
+            shards: self.shards.max(1),
+            chunk,
+            checkpoint_every,
+            stop: self.stop.clone(),
+            sigint: self.sigint,
+        }
+    }
+
+    /// Loads the [`resume`](Self::resume) checkpoint, if any, salvaging
+    /// torn writes, and checks that it belongs to the campaign
+    /// `(kind, key, total)` and holds a completed prefix.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when no generation loads or the identity does
+    /// not match.
+    pub fn load_resume(
+        &self,
+        kind: &str,
+        key: &str,
+        total: u64,
+    ) -> Result<Option<SalvagedCheckpoint>, String> {
+        let Some(path) = &self.resume else {
+            return Ok(None);
+        };
+        let salvaged = Checkpoint::load_salvage(path)?;
+        let checkpoint = &salvaged.checkpoint;
+        let mismatch = [
+            ("kind", checkpoint.kind != kind),
+            ("key", checkpoint.key != key),
+            ("total", checkpoint.total != total),
+        ]
+        .into_iter()
+        .find_map(|(what, differs)| differs.then_some(what));
+        if let Some(what) = mismatch {
+            return Err(format!(
+                "checkpoint {}: {what} does not match this campaign",
+                path.display()
+            ));
+        }
+        let ranges = checkpoint.completed.ranges();
+        if ranges.len() > 1 || ranges.first().is_some_and(|&(s, _)| s != 0) {
+            return Err(format!(
+                "checkpoint {}: completed set is not a prefix",
+                path.display()
+            ));
+        }
+        Ok(Some(salvaged))
+    }
+}
+
+/// What a campaign front end produced on the runtime.
+#[derive(Debug)]
+pub struct CampaignOutcome<R> {
+    /// The (possibly partial, when interrupted) campaign report; it
+    /// covers a prefix of the canonical unit order.
+    pub report: R,
+    /// Whether the run stopped early (stop flag / SIGINT). The
+    /// checkpoint file, if any, holds everything merged so far.
+    pub interrupted: bool,
+    /// Units skipped thanks to the resume checkpoint.
+    pub resumed: u64,
+    /// When the resume checkpoint was torn and
+    /// [`Checkpoint::load_salvage`] fell back to another generation: a
+    /// human-readable note saying which (for the CLI to surface on
+    /// stderr).
+    pub salvage: Option<String>,
+}
+
 /// What [`run_sharded`] did.
 #[derive(Debug)]
 pub struct ShardOutcome {

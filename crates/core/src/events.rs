@@ -433,10 +433,10 @@ impl EventSink {
 
 /// Shared campaign bookkeeping: completion/failure counters, rate and
 /// ETA, the slowest unit seen — plus the campaign-started, heartbeat,
-/// and campaign-finished events every campaign stream carries. The
-/// suite runner, the fault campaign, and the fuzzer all drive one of
-/// these; campaign-specific events (case verdicts, injections,
-/// divergences) are emitted by the caller alongside.
+/// and campaign-finished events every suite stream carries; case
+/// verdicts are emitted by the caller alongside. Fault and fuzz
+/// campaigns emit their own deterministic stream instead (wall-clock
+/// fields zeroed, see [`crate::faults::run_campaign_sharded`]).
 #[derive(Debug)]
 pub struct CampaignProgress {
     events: EventSink,
@@ -444,7 +444,6 @@ pub struct CampaignProgress {
     key: String,
     total: u64,
     started: Instant,
-    heartbeat_every: u64,
     done: u64,
     failed: u64,
     slowest: String,
@@ -466,19 +465,11 @@ impl CampaignProgress {
             key: key.to_string(),
             total,
             started: Instant::now(),
-            heartbeat_every: 1,
             done: 0,
             failed: 0,
             slowest: String::new(),
             slowest_seconds: 0.0,
         }
-    }
-
-    /// Heartbeat only every `every` completed units (default every
-    /// unit); high-volume campaigns like fuzzing thin the stream.
-    pub fn heartbeat_every(mut self, every: u64) -> CampaignProgress {
-        self.heartbeat_every = every.max(1);
-        self
     }
 
     /// Records one completed unit of work and emits a heartbeat.
@@ -491,7 +482,7 @@ impl CampaignProgress {
             self.slowest = name.to_string();
             self.slowest_seconds = wall_seconds;
         }
-        if !self.events.is_enabled() || !self.done.is_multiple_of(self.heartbeat_every) {
+        if !self.events.is_enabled() {
             return;
         }
         let elapsed = self.started.elapsed().as_secs_f64();

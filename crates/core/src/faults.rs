@@ -23,11 +23,11 @@
 //! seeded sampling (SplitMix64) so a campaign is reproducible from
 //! `(design, engine, seed, sites)` alone.
 
-use crate::flow::{run_design, Engine, FlowError};
+use crate::flow::{Engine, FlowError};
+use crate::isolate::contain;
 use crate::suite::TestCase;
 use crate::telemetry::Json;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One injectable hardware fault, engine-independent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,7 +223,10 @@ pub struct InjectionRecord {
     pub detail: String,
 }
 
-/// Options for [`run_campaign`].
+/// What a fault campaign injects: the sampled site list (seed, sites),
+/// the engine, and the tick watchdog. [`run_campaign_sharded`] adds the
+/// runtime knobs (shards, checkpoint, resume) in
+/// [`ShardedCampaignOptions`]; none of them changes a verdict.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Seed for site sampling.
@@ -237,8 +240,8 @@ pub struct CampaignOptions {
     /// clean run (5× its ticks, at least 50k).
     pub max_ticks: Option<u64>,
     /// Live `fpgatest-events-v1` stream: campaign start/finish,
-    /// per-injection inject/classify pairs, and heartbeats. Disabled by
-    /// default.
+    /// per-injection inject/classify pairs, and heartbeats, in site
+    /// order with wall-clock fields zeroed. Disabled by default.
     pub events: crate::events::EventSink,
 }
 
@@ -446,204 +449,6 @@ pub fn enumerate_sites(
     Ok(sites)
 }
 
-/// Runs a full fault campaign for one test case: compile, clean
-/// reference run, site enumeration, seeded sampling, then one faulty run
-/// per sampled site, classified.
-///
-/// The harness never lets an injection escape: panics inside the flow
-/// are caught and recorded as [`InjectionOutcome::Crashed`].
-///
-/// # Errors
-///
-/// Returns [`FlowError`] when the *clean* flow cannot produce a verdict
-/// (broken test case), or a compile failure. A clean run that fails its
-/// own verdict is also an error — fault classification is meaningless on
-/// a design that does not pass clean.
-pub fn run_campaign(
-    case: &TestCase,
-    options: &CampaignOptions,
-) -> Result<CampaignReport, FlowError> {
-    let program = nenya::lang::parse(&case.source)
-        .map_err(|e| FlowError::Compile(nenya::CompileError::from(e)))?;
-    let design = nenya::compile_program(&case.name, &program, &case.options.compile)?;
-
-    let mut clean_options = case.options.clone();
-    clean_options.engine = options.engine;
-    clean_options.keep_artifacts = false;
-    clean_options.faults.clear();
-    let clean = run_design(&design, &case.stimuli, &clean_options)?;
-    if !clean.passed {
-        return Err(FlowError::Fault(format!(
-            "clean run of '{}' fails ({}); cannot classify faults",
-            case.name,
-            clean
-                .failure
-                .clone()
-                .unwrap_or_else(|| format!("{} mismatches", clean.mismatches.len()))
-        )));
-    }
-    let clean_cycles = clean.runs.iter().map(|r| r.cycles).max().unwrap_or(0);
-    let clean_ticks: u64 = clean.runs.iter().map(|r| r.cycles * 10).sum();
-
-    let mut sites =
-        enumerate_sites(&design, clean_cycles, options.seed).map_err(FlowError::Fault)?;
-    let site_pool = sites.len();
-    // Seeded Fisher–Yates, then truncate: a deterministic sample without
-    // replacement.
-    let mut rng = SplitMix64(options.seed);
-    for i in (1..sites.len()).rev() {
-        sites.swap(i, rng.below(i as u64 + 1) as usize);
-    }
-    sites.truncate(options.sites);
-
-    let max_ticks = options.max_ticks.unwrap_or((clean_ticks * 5).max(50_000));
-    let total = sites.len() as u64;
-    let mut progress = crate::events::CampaignProgress::start(
-        options.events.clone(),
-        "faults",
-        &case.name,
-        total,
-    );
-    let mut injections = Vec::with_capacity(sites.len());
-
-    // Batch engine: pack up to 64 fault sites into one lane-parallel
-    // walk per chunk — one transform, one golden run, and one schedule
-    // walk amortized over the whole chunk. Verdict strings are identical
-    // to the per-site path (the engine's per-lane bit-identity
-    // contract); a panicking chunk falls back to one-at-a-time injection
-    // so `Crashed` stays attributed to a single site.
-    if options.engine == Engine::Batch {
-        let prepared = crate::flow::prepare_design(design)?;
-        let mut faulty_options = clean_options.clone();
-        faulty_options.max_ticks = max_ticks;
-        let mut index = 0u64;
-        for chunk in sites.chunks(eventsim::batchsim::LANES) {
-            let specs: Vec<crate::flow::BatchLaneSpec> = chunk
-                .iter()
-                .map(|fault| crate::flow::BatchLaneSpec {
-                    stimuli: case.stimuli.clone(),
-                    faults: vec![fault.clone()],
-                })
-                .collect();
-            let chunk_started = std::time::Instant::now();
-            let result =
-                catch_unwind(AssertUnwindSafe(|| prepared.run_batch(&specs, &faulty_options)));
-            let chunk_wall = chunk_started.elapsed().as_secs_f64();
-            let lane_reports = match result {
-                Ok(Ok(report)) => Some(report.lanes),
-                // Design-scoped error or panic: retry the chunk's sites
-                // individually through the sequential classifier.
-                Ok(Err(_)) | Err(_) => None,
-            };
-            for (lane, fault) in chunk.iter().enumerate() {
-                if options.events.is_enabled() {
-                    options.events.emit(&crate::events::Event::FaultInjected {
-                        fault: fault.to_string(),
-                        class: fault.class().to_string(),
-                        index,
-                        total,
-                    });
-                }
-                let (outcome, detail, wall_seconds) = match &lane_reports {
-                    Some(lanes) => {
-                        let (outcome, detail) = classify_lane(&lanes[lane]);
-                        (outcome, detail, chunk_wall / chunk.len() as f64)
-                    }
-                    None => {
-                        let mut site_options = faulty_options.clone();
-                        site_options.faults = vec![fault.clone()];
-                        let started = std::time::Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            run_design(prepared.design(), &case.stimuli, &site_options)
-                        }));
-                        let (outcome, detail) = classify(result);
-                        let detail = lane_tagged(outcome, detail, lane);
-                        (outcome, detail, started.elapsed().as_secs_f64())
-                    }
-                };
-                if options.events.is_enabled() {
-                    options.events.emit(&crate::events::Event::FaultClassified {
-                        fault: fault.to_string(),
-                        outcome: outcome.to_string(),
-                        detail: detail.clone(),
-                        wall_seconds,
-                    });
-                }
-                progress.unit_done(
-                    &fault.to_string(),
-                    wall_seconds,
-                    outcome == InjectionOutcome::Silent,
-                );
-                injections.push(InjectionRecord {
-                    fault: fault.clone(),
-                    outcome,
-                    detail,
-                });
-                index += 1;
-            }
-        }
-        progress.finish();
-        return Ok(CampaignReport {
-            design: case.name.clone(),
-            engine: options.engine,
-            seed: options.seed,
-            site_pool,
-            clean_cycles,
-            injections,
-        });
-    }
-
-    for (index, fault) in sites.into_iter().enumerate() {
-        let mut faulty_options = clean_options.clone();
-        faulty_options.max_ticks = max_ticks;
-        faulty_options.faults = vec![fault.clone()];
-        if options.events.is_enabled() {
-            options.events.emit(&crate::events::Event::FaultInjected {
-                fault: fault.to_string(),
-                class: fault.class().to_string(),
-                index: index as u64,
-                total,
-            });
-        }
-        let injection_started = std::time::Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_design(&design, &case.stimuli, &faulty_options)
-        }));
-        let (outcome, detail) = classify(result);
-        let wall_seconds = injection_started.elapsed().as_secs_f64();
-        if options.events.is_enabled() {
-            options.events.emit(&crate::events::Event::FaultClassified {
-                fault: fault.to_string(),
-                outcome: outcome.to_string(),
-                detail: detail.clone(),
-                wall_seconds,
-            });
-        }
-        // "Failed" for a fault campaign means the oracle missed: silent
-        // escapes, not detections.
-        progress.unit_done(
-            &fault.to_string(),
-            wall_seconds,
-            outcome == InjectionOutcome::Silent,
-        );
-        injections.push(InjectionRecord {
-            fault,
-            outcome,
-            detail,
-        });
-    }
-    progress.finish();
-
-    Ok(CampaignReport {
-        design: case.name.clone(),
-        engine: options.engine,
-        seed: options.seed,
-        site_pool,
-        clean_cycles,
-        injections,
-    })
-}
-
 /// When a batch chunk panics and its sites rerun one at a time, a site
 /// that *still* crashes carries its lane slot in the detail so sharded
 /// reassembly (and a human) can see which lane of the packed walk blew
@@ -657,59 +462,29 @@ fn lane_tagged(outcome: InjectionOutcome, detail: String, lane: usize) -> String
     }
 }
 
-/// Knobs for [`run_campaign_sharded`] beyond the base
-/// [`CampaignOptions`].
-#[derive(Debug, Clone, Default)]
-pub struct ShardedCampaignOptions {
-    /// Worker-shard count (clamped to at least 1).
-    pub shards: usize,
-    /// Where to write `fpgatest-checkpoint-v1` snapshots (`None` = no
-    /// checkpointing).
-    pub checkpoint: Option<std::path::PathBuf>,
-    /// Merged injections between snapshots (0 = a sensible default).
-    pub checkpoint_every: u64,
-    /// Resume from this checkpoint file: its completed prefix is
-    /// re-merged (and its events re-emitted) without re-running.
-    pub resume: Option<std::path::PathBuf>,
-    /// Cooperative stop flag (tests; SIGINT uses
-    /// [`crate::campaign::install_sigint`]).
-    pub stop: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Stop when the process-wide SIGINT flag fires.
-    pub sigint: bool,
-}
+pub use crate::campaign::ShardedCampaignOptions;
 
-/// What [`run_campaign_sharded`] produced.
-#[derive(Debug)]
-pub struct ShardedCampaignOutcome {
-    /// The (possibly partial, when interrupted) campaign report; the
-    /// injections are always a prefix of the canonical site order.
-    pub report: CampaignReport,
-    /// Whether the run stopped early (stop flag / SIGINT). The
-    /// checkpoint file, if any, holds everything merged so far.
-    pub interrupted: bool,
-    /// Injections skipped thanks to the resume checkpoint.
-    pub resumed: u64,
-    /// When the resume checkpoint was torn and
-    /// [`crate::campaign::Checkpoint::load_salvage`] fell back to another
-    /// generation: a human-readable note saying which (for the CLI to
-    /// surface on stderr).
-    pub salvage: Option<String>,
-}
+/// What [`run_campaign_sharded`] produced; the injections are always a
+/// prefix of the canonical site order.
+pub type ShardedCampaignOutcome = crate::campaign::CampaignOutcome<CampaignReport>;
 
-/// [`run_campaign`] across N work-stealing worker shards, with
-/// checkpoint/resume. Per-site verdicts are bit-identical to the
-/// sequential path; the merged record order is the canonical sampled
-/// site order at any shard count.
+/// Runs a full fault campaign for one test case: compile, clean
+/// reference run, site enumeration, seeded sampling, then one faulty run
+/// per sampled site, classified — across N work-stealing worker shards
+/// (`shards = 1` is the sequential path), with checkpoint/resume. The
+/// merged record order is the canonical sampled site order at any shard
+/// count, and every verdict is the same at any shard count.
+///
+/// The harness never lets an injection escape: panics inside the flow
+/// are caught and recorded as [`InjectionOutcome::Crashed`].
 ///
 /// Perf shape: the transform stage runs **once** ([`crate::flow::prepare_design`])
 /// and the golden reference runs **once**
 /// ([`crate::flow::PreparedDesign::prepare_golden`]), then every
-/// injection replays only the simulation + comparison stages — unlike
-/// the sequential non-batch path, which pays transform + golden per
-/// site. The batch engine packs chunks of [`eventsim::batchsim::LANES`]
-/// sites into single schedule walks exactly like the sequential batch
-/// path (chunks are cut at absolute 64-site boundaries, so packing is
-/// shard-count-independent).
+/// injection replays only the simulation + comparison stages. The batch
+/// engine packs chunks of [`eventsim::batchsim::LANES`] sites into single
+/// schedule walks (chunks are cut at absolute 64-site boundaries, so
+/// packing is shard-count-independent).
 ///
 /// Events: with a live sink, the stream is emitted in merge order with
 /// wall-clock fields zeroed (`wall_seconds`, `rate`, `eta_seconds`,
@@ -719,14 +494,17 @@ pub struct ShardedCampaignOutcome {
 ///
 /// # Errors
 ///
-/// Everything [`run_campaign`] errors on, plus checkpoint I/O or
-/// identity mismatches (wrapped as [`FlowError::Fault`]).
+/// Returns [`FlowError`] when the *clean* flow cannot produce a verdict
+/// (broken test case), or a compile failure. A clean run that fails its
+/// own verdict is also an error — fault classification is meaningless on
+/// a design that does not pass clean. Checkpoint I/O and identity
+/// mismatches are wrapped as [`FlowError::Fault`].
 pub fn run_campaign_sharded(
     case: &TestCase,
     options: &CampaignOptions,
     shard: &ShardedCampaignOptions,
 ) -> Result<ShardedCampaignOutcome, FlowError> {
-    use crate::campaign::{Checkpoint, RangeSet, ShardOptions};
+    use crate::campaign::RangeSet;
     use std::cell::RefCell;
 
     let program = nenya::lang::parse(&case.source)
@@ -774,25 +552,19 @@ pub fn run_campaign_sharded(
     let mut skip = RangeSet::new();
     let mut records: Vec<InjectionRecord> = Vec::new();
     let mut salvage = None;
-    if let Some(path) = &shard.resume {
-        let salvaged = Checkpoint::load_salvage(path).map_err(FlowError::Fault)?;
+    if let Some(salvaged) = shard
+        .load_resume("faults", &case.name, total)
+        .map_err(FlowError::Fault)?
+    {
         let checkpoint = salvaged.checkpoint;
         salvage = salvaged.note;
+        let path = shard.resume.as_deref().unwrap_or(std::path::Path::new(""));
         let bad = |what: &str| {
             FlowError::Fault(format!(
                 "checkpoint {}: {what} does not match this campaign",
                 path.display()
             ))
         };
-        if checkpoint.kind != "faults" {
-            return Err(bad("kind"));
-        }
-        if checkpoint.key != case.name {
-            return Err(bad("design"));
-        }
-        if checkpoint.total != total {
-            return Err(bad("total"));
-        }
         let state = &checkpoint.state;
         let field = |key: &str| state.get(key).and_then(crate::telemetry::Json::as_str);
         if field("engine") != Some(options.engine.to_string().as_str()) {
@@ -800,13 +572,6 @@ pub fn run_campaign_sharded(
         }
         if state.get("seed").and_then(crate::telemetry::Json::as_u64) != Some(options.seed) {
             return Err(bad("seed"));
-        }
-        let ranges = checkpoint.completed.ranges();
-        if ranges.len() > 1 || ranges.first().is_some_and(|&(s, _)| s != 0) {
-            return Err(FlowError::Fault(format!(
-                "checkpoint {}: completed set is not a prefix",
-                path.display()
-            )));
         }
         let list = state
             .get("records")
@@ -888,8 +653,7 @@ pub fn run_campaign_sharded(
     let run_site = |index: u64, fault: &FaultSpec| -> (InjectionOutcome, String) {
         let mut site_options = faulty_options.clone();
         site_options.faults = vec![fault.clone()];
-        let result =
-            catch_unwind(AssertUnwindSafe(|| prepared.run_with_golden(golden, &site_options)));
+        let result = contain(|| prepared.run_with_golden(golden, &site_options));
         classify_with_lane(result, engine_is_batch, index)
     };
     let worker = move |start: u64, end: u64| -> Vec<(InjectionOutcome, String)> {
@@ -902,9 +666,7 @@ pub fn run_campaign_sharded(
                     faults: vec![fault.clone()],
                 })
                 .collect();
-            let result =
-                catch_unwind(AssertUnwindSafe(|| prepared.run_batch(&specs, faulty_options)));
-            match result {
+            match contain(|| prepared.run_batch(&specs, faulty_options)) {
                 Ok(Ok(report)) => report.lanes.iter().map(classify_lane).collect(),
                 // Design-scoped error or panic: rerun the chunk's sites
                 // one at a time so a crash stays attributed to one lane.
@@ -928,21 +690,7 @@ pub fn run_campaign_sharded(
     let outcome = crate::campaign::run_sharded(
         total,
         &skip,
-        &ShardOptions {
-            shards: shard.shards.max(1),
-            chunk,
-            checkpoint_every: if shard.checkpoint.is_some() {
-                if shard.checkpoint_every == 0 {
-                    chunk
-                } else {
-                    shard.checkpoint_every
-                }
-            } else {
-                0
-            },
-            stop: shard.stop.clone(),
-            sigint: shard.sigint,
-        },
+        &shard.shard_options(chunk),
         worker,
         |index, (outcome, detail)| {
             let record = InjectionRecord {
@@ -1060,7 +808,7 @@ fn faults_checkpoint(
 
 /// [`classify`] plus the batch fallback's lane tag (see [`lane_tagged`]).
 fn classify_with_lane(
-    result: std::thread::Result<Result<crate::flow::TestReport, FlowError>>,
+    result: Result<Result<crate::flow::TestReport, FlowError>, String>,
     batch_fallback: bool,
     index: u64,
 ) -> (InjectionOutcome, String) {
@@ -1079,54 +827,45 @@ fn classify_with_lane(
 
 /// Maps one faulty-run result onto an [`InjectionOutcome`].
 fn classify(
-    result: std::thread::Result<Result<crate::flow::TestReport, FlowError>>,
+    result: Result<Result<crate::flow::TestReport, FlowError>, String>,
 ) -> (InjectionOutcome, String) {
     match result {
-        Err(payload) => (InjectionOutcome::Crashed, panic_message(&payload)),
-        Ok(Err(FlowError::Timeout { config, max_ticks })) => (
-            InjectionOutcome::Hung,
-            format!("configuration '{config}' exceeded {max_ticks} ticks"),
-        ),
+        Err(message) => (InjectionOutcome::Crashed, message),
+        Ok(Err(e @ FlowError::Timeout { .. })) => (InjectionOutcome::Hung, e.to_string()),
         Ok(Err(e)) => (InjectionOutcome::Detected, format!("flow error: {e}")),
-        Ok(Ok(report)) => {
-            if !report.fault_skips.is_empty() {
-                (InjectionOutcome::Skipped, report.fault_skips.join("; "))
-            } else if let Some(failure) = report.failure {
-                (InjectionOutcome::Detected, failure)
-            } else if let Some(first) = report.mismatches.first() {
-                (
-                    InjectionOutcome::Detected,
-                    format!(
-                        "{} mismatches, first {}[{}] golden {:?} sim {:?}",
-                        report.mismatches.len(),
-                        first.mem,
-                        first.addr,
-                        first.expected,
-                        first.got
-                    ),
-                )
-            } else {
-                (InjectionOutcome::Silent, "verdict PASS".to_string())
-            }
+        Ok(Ok(report)) if !report.fault_skips.is_empty() => {
+            (InjectionOutcome::Skipped, report.fault_skips.join("; "))
         }
+        Ok(Ok(report)) => classify_verdict(report.failure.as_deref(), &report.mismatches),
     }
 }
 
 /// Maps one batch lane's verdict onto an [`InjectionOutcome`], with the
-/// same detail strings [`classify`] derives from a sequential run.
+/// same detail strings [`classify`] derives from a single-site run.
 fn classify_lane(lane: &crate::flow::LaneReport) -> (InjectionOutcome, String) {
     if let Some(detail) = &lane.timed_out {
         (InjectionOutcome::Hung, detail.clone())
     } else if let Some(e) = &lane.flow_error {
         (InjectionOutcome::Detected, format!("flow error: {e}"))
-    } else if let Some(failure) = &lane.failure {
-        (InjectionOutcome::Detected, failure.clone())
-    } else if let Some(first) = lane.mismatches.first() {
+    } else {
+        classify_verdict(lane.failure.as_deref(), &lane.mismatches)
+    }
+}
+
+/// A run that reached a verdict: a design failure or a memory mismatch
+/// is a detection, a clean pass is a silent escape.
+fn classify_verdict(
+    failure: Option<&str>,
+    mismatches: &[crate::memcmp::Mismatch],
+) -> (InjectionOutcome, String) {
+    if let Some(failure) = failure {
+        (InjectionOutcome::Detected, failure.to_string())
+    } else if let Some(first) = mismatches.first() {
         (
             InjectionOutcome::Detected,
             format!(
                 "{} mismatches, first {}[{}] golden {:?} sim {:?}",
-                lane.mismatches.len(),
+                mismatches.len(),
                 first.mem,
                 first.addr,
                 first.expected,
@@ -1135,17 +874,6 @@ fn classify_lane(lane: &crate::flow::LaneReport) -> (InjectionOutcome, String) {
         )
     } else {
         (InjectionOutcome::Silent, "verdict PASS".to_string())
-    }
-}
-
-/// Renders a panic payload as text (the suite runner shares this).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
     }
 }
 

@@ -86,6 +86,41 @@ impl std::str::FromStr for Engine {
     }
 }
 
+/// A test hook fired at the start of the flow
+/// ([`FlowOptions::planted`]), so crash and hang isolation are tested
+/// with planted faults rather than by racing a wall clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Planted {
+    /// Panic, exercising crash isolation.
+    Panic,
+    /// Park the thread forever without using CPU, exercising the
+    /// wall-clock watchdog.
+    Hang,
+}
+
+impl fmt::Display for Planted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Planted::Panic => "panic",
+            Planted::Hang => "hang",
+        })
+    }
+}
+
+impl std::str::FromStr for Planted {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "panic" => Ok(Planted::Panic),
+            "hang" => Ok(Planted::Hang),
+            other => Err(format!(
+                "unknown planted hook '{other}' (expected panic or hang)"
+            )),
+        }
+    }
+}
+
 /// Options controlling a test-flow run.
 #[derive(Debug, Clone)]
 pub struct FlowOptions {
@@ -130,10 +165,9 @@ pub struct FlowOptions {
     /// verdicts are bit-identical with it on or off — and costs nothing
     /// when off.
     pub profile: bool,
-    /// Test hook: panic at the start of the flow, exercising the suite
-    /// runner's crash isolation.
+    /// Test hook fired at the start of the flow.
     #[doc(hidden)]
-    pub planted_panic: bool,
+    pub planted: Option<Planted>,
 }
 
 /// How many entries [`ConfigRun::hot_components`] keeps.
@@ -343,7 +377,7 @@ impl Default for FlowOptions {
             wall_timeout_ms: None,
             events: EventSink::disabled(),
             profile: false,
-            planted_panic: false,
+            planted: None,
         }
     }
 }
@@ -814,10 +848,14 @@ pub fn run_design_recorded(
 }
 
 /// Rejects option combinations the flow cannot honour, and fires the
-/// planted-panic test hook.
+/// planted test hook.
 fn preflight(options: &FlowOptions) -> Result<(), FlowError> {
-    if options.planted_panic {
-        panic!("planted panic: FlowOptions::planted_panic is set");
+    match options.planted {
+        Some(Planted::Panic) => panic!("planted panic: FlowOptions::planted is set"),
+        Some(Planted::Hang) => loop {
+            std::thread::park();
+        },
+        None => {}
     }
     if options.engine != Engine::Event {
         let unsupported = if options.trace {

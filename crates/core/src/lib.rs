@@ -73,6 +73,7 @@ pub mod elaborate;
 pub mod events;
 pub mod faults;
 pub mod flow;
+pub mod isolate;
 pub mod ledger;
 pub mod memcmp;
 pub mod metrics;

@@ -36,8 +36,8 @@
 //!
 //! ## Job isolation
 //!
-//! Each job runs on its own thread behind the same two shields the
-//! suite runner uses (see [`crate::suite`]): a `catch_unwind` so a
+//! Each job runs on its own thread behind the same shield the suite
+//! runner uses ([`crate::isolate`]): a `catch_unwind` so a
 //! panicking flow becomes a `crash` verdict (exit code 3) instead of
 //! killing a worker, and a wall-clock watchdog (`wall_ms`, defaulting
 //! to [`ServeOptions::default_wall_ms`]) that turns a hung job into a
@@ -97,18 +97,19 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::cache::DesignCache;
 use crate::events::{Event, EventSink, EVENTS_SCHEMA};
-use crate::faults::{campaign_json, run_campaign, CampaignOptions, InjectionOutcome};
-use crate::flow::{Engine, FlowError, FlowOptions, TestFlow, TestReport};
+use crate::faults::{
+    campaign_json, run_campaign_sharded, CampaignOptions, InjectionOutcome, ShardedCampaignOptions,
+};
+use crate::flow::{Engine, FlowError, FlowOptions, Planted, TestFlow, TestReport};
+use crate::isolate::{contain, isolate, Isolated};
 use crate::ledger::{self, LedgerEntry};
 use crate::stimulus::Stimulus;
 use crate::suite::TestCase;
@@ -185,12 +186,13 @@ pub struct JobSpec {
     pub seed: u64,
     /// Fault campaigns: number of injections.
     pub sites: usize,
-    /// Fault campaigns: worker-shard count (0/1 = the sequential path;
-    /// larger values run the work-stealing sharded runtime with
-    /// bit-identical verdicts).
+    /// Fault campaigns: worker-shard count on the sharded campaign
+    /// runtime (0 and 1 both mean one shard); verdicts and records are
+    /// identical at any count.
     pub shards: usize,
-    /// Test hook: panic inside the flow (exercises crash isolation).
-    pub planted_panic: bool,
+    /// Test hook fired inside the flow: a panic (exercises crash
+    /// isolation) or a CPU-free hang (exercises the wall watchdog).
+    pub planted: Option<Planted>,
     /// Bypass the design cache (cold-path; used by benchmarks).
     pub no_cache: bool,
 }
@@ -214,7 +216,7 @@ impl JobSpec {
             seed: 1,
             sites: 50,
             shards: 0,
-            planted_panic: false,
+            planted: None,
             no_cache: false,
         }
     }
@@ -269,7 +271,6 @@ impl JobSpec {
             ("seed", Json::from(self.seed)),
             ("sites", Json::from(self.sites)),
             ("shards", Json::from(self.shards)),
-            ("planted_panic", Json::from(self.planted_panic)),
             ("no_cache", Json::from(self.no_cache)),
         ];
         if let Some(width) = self.width {
@@ -286,6 +287,9 @@ impl JobSpec {
         }
         if let Some(wall) = self.wall_ms {
             pairs.push(("wall_ms", Json::from(wall)));
+        }
+        if let Some(planted) = self.planted {
+            pairs.push(("planted", Json::from(planted.to_string())));
         }
         Json::obj(pairs)
     }
@@ -365,8 +369,11 @@ impl JobSpec {
         if let Some(shards) = json.get("shards").and_then(Json::as_u64) {
             spec.shards = shards as usize;
         }
-        if let Some(planted) = json.get("planted_panic").and_then(Json::as_bool) {
-            spec.planted_panic = planted;
+        if let Some(planted) = json.get("planted") {
+            let word = planted
+                .as_str()
+                .ok_or_else(|| "planted must be a string (panic|hang)".to_string())?;
+            spec.planted = Some(word.parse()?);
         }
         if let Some(no_cache) = json.get("no_cache").and_then(Json::as_bool) {
             spec.no_cache = no_cache;
@@ -1325,7 +1332,7 @@ fn worker_loop(state: &Arc<ServerState>, slot: &WorkerSlot) {
         chaos_maybe_kill_worker(state);
         // run_one_job already isolates the flow; this outer shield only
         // guards serve's own bookkeeping so the drain count never leaks.
-        let finished = catch_unwind(AssertUnwindSafe(|| run_one_job(state, job)));
+        let finished = contain(|| run_one_job(state, job));
         *slot.lock().unwrap_or_else(|p| p.into_inner()) = None;
         if finished.is_err() {
             // run_one_job normally releases the drain count itself as
@@ -1480,53 +1487,29 @@ fn run_one_job(state: &Arc<ServerState>, job: QueuedJob) {
     }
 }
 
-/// Runs one job on a dedicated thread behind the suite runner's two
-/// shields: `catch_unwind` (panic → `crash`/3) and a wall-clock
-/// watchdog (hang → `timeout`/4, thread abandoned).
+/// Runs one job behind [`isolate`], the suite runner's shield: a panic
+/// becomes `crash`/3 and a wall-clock overrun becomes `timeout`/4 (the
+/// job thread is abandoned).
 fn execute_with_watchdog(
     state: &Arc<ServerState>,
     spec: &JobSpec,
     sink: &EventSink,
 ) -> (String, i32, String, Json) {
     let wall_ms = spec.wall_ms.unwrap_or(state.options.default_wall_ms);
-    let (tx, rx) = std::sync::mpsc::channel();
     let job_state = Arc::clone(state);
     let job_spec = spec.clone();
     let job_sink = sink.clone();
-    let spawned = std::thread::Builder::new()
-        .name(format!("serve-job-{}", job_spec.name))
-        .spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                execute_job(&job_state, &job_spec, &job_sink)
-            }));
-            let _ = tx.send(outcome);
-        });
-    if spawned.is_err() {
-        return (
-            "error".to_string(),
-            2,
-            "could not spawn job thread".to_string(),
-            Json::Null,
-        );
-    }
-    match rx.recv_timeout(Duration::from_millis(wall_ms)) {
-        Ok(Ok(result)) => result,
-        Ok(Err(payload)) => (
-            "crash".to_string(),
-            3,
-            crate::faults::panic_message(&*payload),
-            Json::Null,
-        ),
-        Err(RecvTimeoutError::Timeout) => (
+    match isolate(wall_ms, move || {
+        execute_job(&job_state, &job_spec, &job_sink)
+    }) {
+        Isolated::Done(result) => result,
+        Isolated::Panicked(message) | Isolated::Died(message) => {
+            ("crash".to_string(), 3, message, Json::Null)
+        }
+        Isolated::TimedOut(ms) => (
             "timeout".to_string(),
             4,
-            format!("wall clock exceeded {wall_ms} ms"),
-            Json::Null,
-        ),
-        Err(RecvTimeoutError::Disconnected) => (
-            "crash".to_string(),
-            3,
-            "job thread died without reporting".to_string(),
+            format!("wall clock exceeded {ms} ms"),
             Json::Null,
         ),
     }
@@ -1548,7 +1531,7 @@ fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String
     if let Some(ticks) = spec.max_ticks {
         options.max_ticks = ticks;
     }
-    options.planted_panic = spec.planted_panic;
+    options.planted = spec.planted;
     match spec.kind {
         JobKind::Test => {
             options.events = sink.clone();
@@ -1584,20 +1567,15 @@ fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String
                 max_ticks: spec.max_ticks,
                 events: sink.clone(),
             };
-            let result = if spec.shards > 1 {
-                crate::faults::run_campaign_sharded(
-                    &case,
-                    &campaign,
-                    &crate::faults::ShardedCampaignOptions {
-                        shards: spec.shards,
-                        ..Default::default()
-                    },
-                )
-                .map(|outcome| outcome.report)
-            } else {
-                run_campaign(&case, &campaign)
-            };
-            match result {
+            let result = run_campaign_sharded(
+                &case,
+                &campaign,
+                &ShardedCampaignOptions {
+                    shards: spec.shards,
+                    ..ShardedCampaignOptions::default()
+                },
+            );
+            match result.map(|outcome| outcome.report) {
                 Ok(report) => {
                     let crashed = report.count(InjectionOutcome::Crashed);
                     let detail = format!(
@@ -1617,13 +1595,7 @@ fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String
                         ("pass".to_string(), 0, detail, campaign_json(&report))
                     }
                 }
-                Err(FlowError::Timeout { config, max_ticks }) => (
-                    "timeout".to_string(),
-                    4,
-                    format!("configuration '{config}' exceeded {max_ticks} ticks"),
-                    Json::Null,
-                ),
-                Err(e) => ("error".to_string(), 2, e.to_string(), Json::Null),
+                Err(e) => classify_error(e),
             }
         }
     }
@@ -1642,14 +1614,17 @@ fn classify_test(result: Result<TestReport, FlowError>) -> (String, i32, String,
                 ("fail".to_string(), 1, detail, test_report_json(&report))
             }
         }
-        Err(FlowError::Timeout { config, max_ticks }) => (
-            "timeout".to_string(),
-            4,
-            format!("configuration '{config}' exceeded {max_ticks} ticks"),
-            Json::Null,
-        ),
-        Err(e) => ("error".to_string(), 2, e.to_string(), Json::Null),
+        Err(e) => classify_error(e),
     }
+}
+
+/// A job that produced no verdict: a tick-watchdog trip or a flow error.
+fn classify_error(e: FlowError) -> (String, i32, String, Json) {
+    let (verdict, code) = match e {
+        FlowError::Timeout { .. } => ("timeout", 4),
+        _ => ("error", 2),
+    };
+    (verdict.to_string(), code, e.to_string(), Json::Null)
 }
 
 fn test_report_json(report: &TestReport) -> Json {
@@ -2154,7 +2129,7 @@ mod tests {
         spec.max_ticks = Some(9000);
         spec.wall_ms = Some(1234);
         spec.events = true;
-        spec.planted_panic = true;
+        spec.planted = Some(Planted::Hang);
         spec.no_cache = true;
         let back = round_trip(&spec);
         assert_eq!(back.kind, JobKind::Faults);
@@ -2173,7 +2148,7 @@ mod tests {
         assert!(back.events);
         assert_eq!(back.seed, 7);
         assert_eq!(back.sites, 25);
-        assert!(back.planted_panic);
+        assert_eq!(back.planted, Some(Planted::Hang));
         assert!(back.no_cache);
     }
 
@@ -2199,6 +2174,14 @@ mod tests {
             (
                 r#"{"kind":"test","name":"n","source":"s","policy":"greedy"}"#,
                 "greedy",
+            ),
+            (
+                r#"{"kind":"test","name":"n","source":"s","planted":"meteor"}"#,
+                "meteor",
+            ),
+            (
+                r#"{"kind":"test","name":"n","source":"s","planted":true}"#,
+                "planted",
             ),
         ] {
             let json = Json::parse(text).expect("test input parses");

@@ -18,21 +18,18 @@
 //!   stimulus code code.stim
 //! ```
 
+use crate::campaign::{run_sharded, RangeSet, ShardOptions};
 use crate::events::{CampaignProgress, Event, EventSink};
 use crate::faults::FaultSpec;
 use crate::flow::{FlowError, FlowOptions, TestFlow, TestReport};
+use crate::isolate::{contain, isolate, Isolated};
 use crate::stimulus::{self, Stimulus};
 use crate::telemetry::Recorder;
 use nenya::schedule::SchedulePolicy;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One test case of a suite.
 #[derive(Debug, Clone)]
@@ -267,25 +264,11 @@ impl Suite {
             CampaignProgress::start(self.events.clone(), "suite", &self.events_key, total);
         let mut results = Vec::with_capacity(self.cases.len());
         for (index, case) in self.cases.iter().enumerate() {
-            if self.events.is_enabled() {
-                self.events.emit(&Event::CaseStarted {
-                    case: case.name.clone(),
-                    index: index as u64,
-                    total,
-                });
-            }
+            self.start_case(case, index as u64);
             let case_started = Instant::now();
             let result = run_case(case, recorder, &self.events);
             let wall_seconds = case_started.elapsed().as_secs_f64();
-            if self.events.is_enabled() {
-                self.events.emit(&Event::CaseFinished {
-                    case: case.name.clone(),
-                    index: index as u64,
-                    verdict: result.status().to_string(),
-                    wall_seconds,
-                });
-            }
-            progress.unit_done(&case.name, wall_seconds, !result.passed());
+            self.finish_case(&mut progress, case, index as u64, &result, wall_seconds);
             results.push((case.name.clone(), result));
         }
         progress.finish();
@@ -299,176 +282,124 @@ impl Suite {
         self.run_parallel_recorded(jobs, &mut Recorder::new())
     }
 
-    /// [`run_parallel`](Self::run_parallel) with tracing. Each worker
-    /// records into its own [`Recorder`]; the per-case span trees are
-    /// absorbed into `recorder` in suite order after all workers finish.
+    /// [`run_parallel`](Self::run_parallel) with tracing, on the
+    /// sharded campaign runtime ([`run_sharded`]) with one case per
+    /// chunk. Each case records into its own [`Recorder`]; the merge
+    /// absorbs the span trees and emits the case events in suite order.
+    /// Workers get no flow-level sink: concurrent stage spans would
+    /// interleave nondeterministically.
     pub fn run_parallel_recorded(&self, jobs: usize, recorder: &mut Recorder) -> SuiteReport {
         let jobs = jobs.max(1).min(self.cases.len().max(1));
         if jobs <= 1 {
             return self.run_recorded(recorder);
         }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<(CaseResult, Recorder)>>> =
-            self.cases.iter().map(|_| Mutex::new(None)).collect();
-        // Finished cases stream out in manifest order, not finish order:
-        // workers deliver into the reassembly buffer, and whoever holds
-        // the lock drains every contiguous case, so the event stream is
-        // deterministic while still advancing mid-flight.
         let total = self.cases.len() as u64;
-        let ordered = self.events.is_enabled().then(|| {
-            Mutex::new(OrderedCaseEvents {
-                next_to_emit: 0,
-                pending: BTreeMap::new(),
-                progress: CampaignProgress::start(
-                    self.events.clone(),
-                    "suite",
-                    &self.events_key,
-                    total,
-                ),
-            })
-        });
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(case) = self.cases.get(index) else {
-                        break;
-                    };
-                    let mut worker_recorder = Recorder::new();
-                    // Workers get no flow-level sink: concurrent stage
-                    // spans would interleave nondeterministically.
-                    let case_started = Instant::now();
-                    let result = run_case(case, &mut worker_recorder, &EventSink::disabled());
-                    let wall_seconds = case_started.elapsed().as_secs_f64();
-                    if let Some(ordered) = &ordered {
-                        ordered
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .deliver(self, index, result.status(), wall_seconds);
-                    }
-                    *slots[index].lock().expect("slot poisoned") =
-                        Some((result, worker_recorder));
-                });
-            }
-        });
+        let mut progress =
+            CampaignProgress::start(self.events.clone(), "suite", &self.events_key, total);
         let mut results = Vec::with_capacity(self.cases.len());
-        for (index, (case, slot)) in self.cases.iter().zip(slots).enumerate() {
-            // A slot can legitimately be empty: if a worker dies in a way
-            // `run_case` cannot absorb, the suite must still report every
-            // case rather than abort the whole report.
-            let (result, worker_recorder) = match slot.into_inner().expect("slot poisoned") {
-                Some(filled) => filled,
-                None => {
-                    if let Some(ordered) = &ordered {
-                        ordered
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .deliver(self, index, "crash", 0.0);
-                    }
-                    (
-                        CaseResult::Crashed(format!(
-                            "worker died before reporting case '{}'",
-                            case.name
-                        )),
-                        Recorder::new(),
-                    )
-                }
-            };
-            recorder.absorb(worker_recorder);
-            results.push((case.name.clone(), result));
-        }
-        if let Some(ordered) = ordered {
-            ordered
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .progress
-                .finish();
-        }
+        run_sharded(
+            total,
+            &RangeSet::new(),
+            &ShardOptions {
+                shards: jobs,
+                chunk: 1,
+                ..ShardOptions::default()
+            },
+            |start, end| {
+                self.cases[start as usize..end as usize]
+                    .iter()
+                    .map(|case| {
+                        let mut worker_recorder = Recorder::new();
+                        let case_started = Instant::now();
+                        let result = run_case(case, &mut worker_recorder, &EventSink::disabled());
+                        let wall_seconds = case_started.elapsed().as_secs_f64();
+                        (result, worker_recorder, wall_seconds)
+                    })
+                    .collect()
+            },
+            |index, (result, worker_recorder, wall_seconds)| {
+                let case = &self.cases[index as usize];
+                self.start_case(case, index);
+                self.finish_case(&mut progress, case, index, &result, wall_seconds);
+                recorder.absorb(worker_recorder);
+                results.push((case.name.clone(), result));
+            },
+            |_| {},
+        );
+        progress.finish();
         SuiteReport { results }
     }
-}
 
-/// Reassembly buffer turning finish-order worker completions into
-/// manifest-order event emission (see `run_parallel_recorded`).
-struct OrderedCaseEvents {
-    next_to_emit: usize,
-    pending: BTreeMap<usize, (&'static str, f64)>,
-    progress: CampaignProgress,
-}
-
-impl OrderedCaseEvents {
-    fn deliver(&mut self, suite: &Suite, index: usize, verdict: &'static str, wall_seconds: f64) {
-        self.pending.insert(index, (verdict, wall_seconds));
-        let total = suite.cases.len() as u64;
-        while let Some((verdict, wall_seconds)) = self.pending.remove(&self.next_to_emit) {
-            let name = &suite.cases[self.next_to_emit].name;
-            suite.events.emit(&Event::CaseStarted {
-                case: name.clone(),
-                index: self.next_to_emit as u64,
-                total,
+    /// Emits a case's start event.
+    fn start_case(&self, case: &TestCase, index: u64) {
+        if self.events.is_enabled() {
+            self.events.emit(&Event::CaseStarted {
+                case: case.name.clone(),
+                index,
+                total: self.cases.len() as u64,
             });
-            suite.events.emit(&Event::CaseFinished {
-                case: name.clone(),
-                index: self.next_to_emit as u64,
-                verdict: verdict.to_string(),
+        }
+    }
+
+    /// Emits a finished case's event and heartbeat.
+    fn finish_case(
+        &self,
+        progress: &mut CampaignProgress,
+        case: &TestCase,
+        index: u64,
+        result: &CaseResult,
+        wall_seconds: f64,
+    ) {
+        if self.events.is_enabled() {
+            self.events.emit(&Event::CaseFinished {
+                case: case.name.clone(),
+                index,
+                verdict: result.status().to_string(),
                 wall_seconds,
             });
-            self.progress
-                .unit_done(name, wall_seconds, verdict != "pass");
-            self.next_to_emit += 1;
         }
+        progress.unit_done(&case.name, wall_seconds, !result.passed());
     }
 }
 
 /// Runs one case, crash- and hang-proofed: panics inside the flow are
 /// caught and reported as [`CaseResult::Crashed`], tick-watchdog trips
 /// become [`CaseResult::TimedOut`], and when the case carries a
-/// wall-clock budget the whole flow runs on a watchdogged thread.
+/// wall-clock budget the whole flow runs under [`isolate`]'s watchdog.
 fn run_case(case: &TestCase, recorder: &mut Recorder, events: &EventSink) -> CaseResult {
     let Some(wall_ms) = case.options.wall_timeout_ms else {
         return run_case_traced(case, recorder, events);
     };
-    // The flow holds `Rc`-based memory handles, so the case cannot be
-    // abandoned mid-run from outside; instead the whole case runs on its
-    // own thread and the watchdog gives up *waiting*. On a trip the
-    // thread is left detached (it still counts ticks and will stop at
-    // `max_ticks`); its telemetry is discarded.
-    let (sender, receiver) = std::sync::mpsc::channel();
+    // On a trip the case thread is abandoned and its telemetry
+    // discarded.
     let case_owned = case.clone();
     let events_owned = events.clone();
-    std::thread::spawn(move || {
+    let result = match isolate(wall_ms, move || {
         let mut worker_recorder = Recorder::new();
         let result = run_case_traced(&case_owned, &mut worker_recorder, &events_owned);
-        let _ = sender.send((result, worker_recorder));
-    });
-    match receiver.recv_timeout(Duration::from_millis(wall_ms)) {
-        Ok((result, worker_recorder)) => {
+        (result, worker_recorder)
+    }) {
+        Isolated::Done((result, worker_recorder)) => {
             recorder.absorb(worker_recorder);
-            result
+            return result;
         }
-        Err(error) => {
-            let result = match error {
-                RecvTimeoutError::Timeout => CaseResult::TimedOut {
-                    reason: format!("wall clock exceeded {wall_ms} ms"),
-                },
-                RecvTimeoutError::Disconnected => {
-                    CaseResult::Crashed("case worker died without reporting".to_string())
-                }
-            };
-            // Synthesize the case span the worker never delivered, so
-            // span order still mirrors suite order.
-            let span = recorder.start(format!("case.{}", case.name));
-            recorder.attr(span, "status", result.status());
-            recorder.end(span);
-            result
-        }
-    }
+        Isolated::TimedOut(ms) => CaseResult::TimedOut {
+            reason: format!("wall clock exceeded {ms} ms"),
+        },
+        Isolated::Panicked(message) | Isolated::Died(message) => CaseResult::Crashed(message),
+    };
+    // Synthesize the case span the worker never delivered, so span order
+    // still mirrors suite order.
+    let span = recorder.start(format!("case.{}", case.name));
+    recorder.attr(span, "status", result.status());
+    recorder.end(span);
+    result
 }
 
 /// Runs one case with its `case.<name>` span on the calling thread.
 fn run_case_traced(case: &TestCase, recorder: &mut Recorder, events: &EventSink) -> CaseResult {
     let span = recorder.start(format!("case.{}", case.name));
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let outcome = contain(|| {
         let mut options = case.options.clone();
         if events.is_enabled() {
             options.events = events.clone();
@@ -478,14 +409,14 @@ fn run_case_traced(case: &TestCase, recorder: &mut Recorder, events: &EventSink)
             flow = flow.stimulus(mem, stimulus.clone());
         }
         flow.run_recorded(recorder)
-    }));
+    });
     let result = match outcome {
         Ok(Ok(report)) => CaseResult::Finished(report),
-        Ok(Err(FlowError::Timeout { config, max_ticks })) => CaseResult::TimedOut {
-            reason: format!("configuration '{config}' exceeded {max_ticks} ticks"),
+        Ok(Err(e @ FlowError::Timeout { .. })) => CaseResult::TimedOut {
+            reason: e.to_string(),
         },
         Ok(Err(e)) => CaseResult::Errored(e),
-        Err(payload) => CaseResult::Crashed(crate::faults::panic_message(&*payload)),
+        Err(message) => CaseResult::Crashed(message),
     };
     recorder.attr(span, "status", result.status());
     match &result {

@@ -4,11 +4,10 @@
 //! cached and freshly compiled designs.
 
 use fpgatest::cache::DesignCache;
-use fpgatest::flow::{FlowOptions, TestFlow};
+use fpgatest::flow::{FlowOptions, Planted, TestFlow};
 use fpgatest::serve::{Client, ClientError, JobSpec, ServeOptions, Server};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::telemetry::Json;
-use fpgatest::workloads;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -26,6 +25,25 @@ fn start_server(options: ServeOptions) -> (String, std::thread::JoinHandle<std::
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run());
     (addr, handle)
+}
+
+/// Polls `stats` on a fresh connection until `ready` holds, so a test
+/// waits for the daemon's state rather than guessing a sleep.
+fn wait_for_stats(addr: &str, ready: impl Fn(&Json) -> bool) {
+    let mut control = Client::connect(addr).expect("connect control");
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = control.stats().expect("stats");
+        if ready(&stats) {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "daemon never reached the awaited state: {}",
+            stats.emit()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn cache_counter(stats: &Json, name: &str) -> u64 {
@@ -49,7 +67,7 @@ fn daemon_survives_crashing_and_hanging_jobs() {
     let mut client = Client::connect(&addr).expect("connect");
 
     let mut crasher = scale_job();
-    crasher.planted_panic = true;
+    crasher.planted = Some(Planted::Panic);
     let crashed = client.run_job(&crasher).expect("crash job completes");
     assert_eq!(crashed.verdict, "crash");
     assert_eq!(crashed.exit_code, 3);
@@ -59,12 +77,11 @@ fn daemon_survives_crashing_and_hanging_jobs() {
         crashed.detail
     );
 
-    // A big design with a 1 ms wall budget is guaranteed to trip the
-    // watchdog; the worker abandons the thread and moves on.
-    let mut hog = JobSpec::test("fdct-hog", &workloads::fdct_source(256))
-        .stimulus("img", Stimulus::from_values(workloads::test_image(256)));
-    hog.width = Some(32);
-    hog.wall_ms = Some(1);
+    // A planted hang never finishes, so its wall budget always trips;
+    // the worker abandons the parked thread and moves on.
+    let mut hog = scale_job();
+    hog.planted = Some(Planted::Hang);
+    hog.wall_ms = Some(50);
     let hung = client.run_job(&hog).expect("hung job completes");
     assert_eq!(hung.verdict, "timeout");
     assert_eq!(hung.exit_code, 4);
@@ -156,9 +173,8 @@ fn shutdown_drains_inflight_and_rejects_new_jobs() {
 
     // Occupy the only worker for ~600 ms with a job that hangs until
     // its wall-clock watchdog trips.
-    let mut hog = JobSpec::test("fdct-hog", &workloads::fdct_source(256))
-        .stimulus("img", Stimulus::from_values(workloads::test_image(256)));
-    hog.width = Some(32);
+    let mut hog = scale_job();
+    hog.planted = Some(Planted::Hang);
     hog.wall_ms = Some(600);
     hog.events = true;
 
@@ -166,7 +182,12 @@ fn shutdown_drains_inflight_and_rejects_new_jobs() {
     let mut submitter = Client::connect(&addr).expect("connect submitter");
     submitter.stream_events_to(Box::new(tap.clone()));
     let id = submitter.submit(&hog).expect("submit hog");
-    std::thread::sleep(Duration::from_millis(100));
+    // `inflight` counts accepted jobs; the hog is running once it has
+    // also left the queue.
+    wait_for_stats(&addr, |stats| {
+        stats.get("inflight").and_then(Json::as_u64) == Some(1)
+            && stats.get("queued").and_then(Json::as_u64) == Some(0)
+    });
 
     // Shutdown from a second connection; it blocks until the drain
     // completes, so run it on its own thread.
@@ -177,7 +198,9 @@ fn shutdown_drains_inflight_and_rejects_new_jobs() {
             client.shutdown().expect("shutdown acknowledges")
         }
     });
-    std::thread::sleep(Duration::from_millis(150));
+    wait_for_stats(&addr, |stats| {
+        stats.get("draining").and_then(Json::as_bool) == Some(true)
+    });
 
     // While the drain waits on the hog, new submissions get the typed
     // rejection.

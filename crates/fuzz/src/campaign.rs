@@ -2,10 +2,10 @@
 //!
 //! This is the engine behind `fpgafuzz run`. It lives in the library so
 //! integration tests and the CI smoke job exercise exactly the code the
-//! CLI runs. The produced log is fully deterministic for a fresh run —
-//! no wall-clock, no OS randomness, no hash-order iteration — so two
-//! invocations with the same seed and case count emit bit-identical
-//! output (the repo's reproducibility contract).
+//! CLI runs. The produced log is fully deterministic — no wall-clock, no
+//! OS randomness, no hash-order iteration — so two invocations with the
+//! same seed and case count emit bit-identical output at any shard
+//! count (the repo's reproducibility contract).
 
 use crate::corpus::Corpus;
 use crate::coverage::{missing_ops, CoverageMap};
@@ -34,10 +34,9 @@ pub struct CampaignOptions {
     pub max_shrink_evals: usize,
     /// Kernel-tick watchdog per configuration.
     pub max_ticks: u64,
-    /// Live `fpgatest-events-v1` stream (`--events-out`). A separate
-    /// channel from the deterministic log: events carry wall-clock
-    /// rates/ETAs and never feed back into the log text, so the
-    /// reproducibility contract holds with streaming on.
+    /// Live `fpgatest-events-v1` stream (`--events-out`), in case order
+    /// with wall-clock fields zeroed, so it is as reproducible as the
+    /// log.
     pub events: fpgatest::events::EventSink,
 }
 
@@ -74,198 +73,11 @@ pub struct CampaignReport {
     pub new_keys: usize,
 }
 
-/// Runs a campaign.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error when the corpus directory cannot be
-/// read or written; execution itself never errors (failures are counted
-/// in the report).
-pub fn run_campaign(opts: &CampaignOptions) -> io::Result<CampaignReport> {
-    let corpus = match &opts.corpus_dir {
-        Some(dir) => Some(Corpus::open(dir.clone())?),
-        None => None,
-    };
-    let mut coverage = match &corpus {
-        Some(corpus) => corpus.load_coverage()?,
-        None => CoverageMap::new(),
-    };
-    let exec = ExecOptions {
-        max_ticks: opts.max_ticks,
-        injection: opts.injection,
-        ..ExecOptions::default()
-    };
-    let mut budget = Budget {
-        width: opts.width,
-        ..Budget::default()
-    };
+pub use fpgatest::campaign::ShardedCampaignOptions;
 
-    let mut log = String::new();
-    let _ = writeln!(
-        log,
-        "fpgafuzz: seed {} cases {} width {}{}",
-        opts.seed,
-        opts.cases,
-        opts.width,
-        match opts.injection {
-            Some(Injection::BranchPolarity) => " inject branch-polarity",
-            Some(Injection::SignalFault) => " inject signal-fault",
-            None => "",
-        }
-    );
-
-    let mut shrunk = Vec::new();
-    let mut divergences = 0usize;
-    let mut generator_errors = 0usize;
-    let mut new_keys = 0usize;
-    let mut saved = 0usize;
-
-    // Heartbeat every ~25 cases: fuzz cases are small and fast, so a
-    // per-case heartbeat would dominate the stream.
-    let mut progress = fpgatest::events::CampaignProgress::start(
-        opts.events.clone(),
-        "fuzz",
-        &format!("seed{}", opts.seed),
-        opts.cases,
-    )
-    .heartbeat_every(25);
-
-    for index in 0..opts.cases {
-        let case_started = std::time::Instant::now();
-        // Coverage feedback: bias generation toward operator kinds the
-        // accumulated map has not seen activated yet.
-        budget.op_bias = missing_ops(&coverage);
-        let case = match generate_case(opts.seed, index, &budget) {
-            Ok(case) => case,
-            Err(e) => {
-                generator_errors += 1;
-                let _ = writeln!(log, "case {index}: generator error: {e}");
-                progress.unit_done(
-                    &format!("case{index}"),
-                    case_started.elapsed().as_secs_f64(),
-                    false,
-                );
-                continue;
-            }
-        };
-        let mut diverged = false;
-        match run_case(&case, opts.width, &exec) {
-            CaseOutcome::Pass { coverage: seen } => {
-                let fresh: Vec<String> = seen
-                    .iter()
-                    .filter(|key| !coverage.contains(key))
-                    .map(String::from)
-                    .collect();
-                if !fresh.is_empty() {
-                    new_keys += fresh.len();
-                    coverage.merge(seen);
-                    if let Some(corpus) = &corpus {
-                        corpus.save_case(&case, &fresh)?;
-                        saved += 1;
-                    }
-                    let _ = writeln!(log, "case {index}: +{} coverage keys", fresh.len());
-                }
-            }
-            CaseOutcome::Divergence(d) => {
-                divergences += 1;
-                diverged = true;
-                if opts.events.is_enabled() {
-                    opts.events.emit(&fpgatest::events::Event::FuzzDivergence {
-                        index,
-                        variant: d.variant.to_string(),
-                        kind: format!("{:?}", d.kind),
-                        detail: d.detail.clone(),
-                    });
-                }
-                let _ = writeln!(
-                    log,
-                    "case {index}: DIVERGENCE [{}] {:?}: {}",
-                    d.variant, d.kind, d.detail
-                );
-                let report = shrink(&case, opts.width, &exec, opts.max_shrink_evals);
-                let _ = writeln!(
-                    log,
-                    "case {index}: shrunk {} -> {} lines in {} evals:",
-                    line_count(&case),
-                    line_count(&report.case),
-                    report.evals
-                );
-                for line in report.case.source.lines() {
-                    let _ = writeln!(log, "    {line}");
-                }
-                shrunk.push(report.case);
-            }
-            CaseOutcome::GeneratorError(e) => {
-                generator_errors += 1;
-                let _ = writeln!(log, "case {index}: generator error: {e}");
-            }
-        }
-        progress.unit_done(
-            &format!("case{index}"),
-            case_started.elapsed().as_secs_f64(),
-            diverged,
-        );
-    }
-    progress.finish();
-
-    if let Some(corpus) = &corpus {
-        corpus.save_coverage(&coverage)?;
-    }
-    let _ = writeln!(
-        log,
-        "coverage: {} keys (+{new_keys} new, {saved} cases saved)",
-        coverage.len()
-    );
-    let _ = writeln!(
-        log,
-        "result: {divergences} divergences, {generator_errors} generator errors"
-    );
-
-    Ok(CampaignReport {
-        log,
-        shrunk,
-        divergences,
-        generator_errors,
-        coverage,
-        new_keys,
-    })
-}
-
-/// Knobs for [`run_campaign_sharded`] beyond the base
-/// [`CampaignOptions`].
-#[derive(Debug, Clone, Default)]
-pub struct ShardedCampaignOptions {
-    /// Worker-shard count (clamped to at least 1).
-    pub shards: usize,
-    /// Where to write `fpgatest-checkpoint-v1` snapshots (`None` = no
-    /// checkpointing).
-    pub checkpoint: Option<PathBuf>,
-    /// Merged cases between snapshots (0 = every work chunk).
-    pub checkpoint_every: u64,
-    /// Resume from this checkpoint: its completed prefix is re-merged
-    /// (log, coverage, corpus, events) without re-executing.
-    pub resume: Option<PathBuf>,
-    /// Cooperative stop flag (tests; SIGINT uses
-    /// [`fpgatest::campaign::install_sigint`]).
-    pub stop: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Stop when the process-wide SIGINT flag fires.
-    pub sigint: bool,
-}
-
-/// What [`run_campaign_sharded`] produced.
-#[derive(Debug)]
-pub struct ShardedCampaignOutcome {
-    /// The (possibly partial, when interrupted) campaign report. The log
-    /// carries the footer lines only for completed campaigns.
-    pub report: CampaignReport,
-    /// Whether the run stopped early (stop flag / SIGINT).
-    pub interrupted: bool,
-    /// Cases skipped thanks to the resume checkpoint.
-    pub resumed: u64,
-    /// Salvage note when the resume checkpoint was torn and another
-    /// generation was recovered (surfaced on stderr by the CLI).
-    pub salvage: Option<String>,
-}
+/// What [`run_campaign_sharded`] produced. The log carries the footer
+/// lines only for completed campaigns.
+pub type ShardedCampaignOutcome = fpgatest::campaign::CampaignOutcome<CampaignReport>;
 
 /// Everything one executed case contributes to the merge, independent of
 /// which shard ran it.
@@ -304,20 +116,21 @@ struct MergeState {
     error: Option<io::Error>,
 }
 
-/// Deterministic heartbeat cadence for sharded runs (merged cases, same
-/// spirit as the sequential path's ~25-case heartbeat).
+/// Heartbeat cadence in merged cases: fuzz cases are small and fast, so
+/// a per-case heartbeat would dominate the stream.
 const SHARD_HEARTBEAT: u64 = 25;
 
-/// [`run_campaign`] across N work-stealing worker shards, with
-/// checkpoint/resume.
+/// Runs a campaign across N work-stealing worker shards (`shards = 1` is
+/// the sequential path), with checkpoint/resume.
 ///
 /// Generation bias is **frozen** at campaign start (`missing_ops` of the
 /// starting coverage) instead of evolving per case, so case `index` is
-/// the same program at any shard count and across a resume — the price
-/// of bit-determinism. With that freeze, the log, the merged coverage
-/// map, the saved corpus, and the `fpgatest-events-v1` stream (wall-clock
-/// fields zeroed) are all byte-identical across `--shards 1..N` and
-/// across a killed-then-resumed run.
+/// the same program at any shard count, across a resume, and in
+/// `fpgafuzz repro` (which freezes the bias of an empty map). With that
+/// freeze, the log, the merged coverage map, the saved corpus, and the
+/// `fpgatest-events-v1` stream (wall-clock fields zeroed) are all
+/// byte-identical across `--shards 1..N` and across a killed-then-resumed
+/// run.
 ///
 /// # Errors
 ///
@@ -330,7 +143,7 @@ pub fn run_campaign_sharded(
 ) -> io::Result<ShardedCampaignOutcome> {
     use crate::coverage::{op_from_kind_name, op_kind_name};
     use crate::gen::stimuli_for;
-    use fpgatest::campaign::{Checkpoint, RangeSet, ShardOptions};
+    use fpgatest::campaign::{Checkpoint, RangeSet};
     use fpgatest::telemetry::Json;
     use std::cell::RefCell;
 
@@ -369,40 +182,27 @@ pub fn run_campaign_sharded(
     let bias;
     let mut skip = RangeSet::new();
     let mut salvage = None;
-    if let Some(path) = &shard.resume {
-        // Salvage tolerates torn writes (falling back to the `.tmp` or
-        // `.prev` generation); identity mismatches below still refuse.
-        let salvaged = Checkpoint::load_salvage(path).map_err(invalid)?;
+    // Salvage tolerates torn writes (falling back to the `.tmp` or
+    // `.prev` generation); identity mismatches still refuse.
+    if let Some(salvaged) = shard
+        .load_resume("fuzz", &key, opts.cases)
+        .map_err(invalid)?
+    {
         let checkpoint = salvaged.checkpoint;
         salvage = salvaged.note;
+        let path = shard.resume.as_deref().unwrap_or(std::path::Path::new(""));
         let bad = |what: &str| {
             invalid(format!(
                 "checkpoint {}: {what} does not match this campaign",
                 path.display()
             ))
         };
-        if checkpoint.kind != "fuzz" {
-            return Err(bad("kind"));
-        }
-        if checkpoint.key != key {
-            return Err(bad("seed"));
-        }
-        if checkpoint.total != opts.cases {
-            return Err(bad("cases"));
-        }
         let doc = &checkpoint.state;
         if doc.get("width").and_then(Json::as_u64) != Some(u64::from(opts.width)) {
             return Err(bad("width"));
         }
         if doc.get("injection").and_then(Json::as_str) != Some(injection_name) {
             return Err(bad("injection"));
-        }
-        let ranges = checkpoint.completed.ranges();
-        if ranges.len() > 1 || ranges.first().is_some_and(|&(s, _)| s != 0) {
-            return Err(invalid(format!(
-                "checkpoint {}: completed set is not a prefix",
-                path.display()
-            )));
         }
         let str_field = |name: &str| {
             doc.get(name)
@@ -472,10 +272,10 @@ pub fn run_campaign_sharded(
             opts.seed,
             opts.cases,
             opts.width,
-            match opts.injection {
-                Some(Injection::BranchPolarity) => " inject branch-polarity",
-                Some(Injection::SignalFault) => " inject signal-fault",
-                None => "",
+            if opts.injection.is_some() {
+                format!(" inject {injection_name}")
+            } else {
+                String::new()
             }
         );
     }
@@ -606,21 +406,7 @@ pub fn run_campaign_sharded(
     let outcome = fpgatest::campaign::run_sharded(
         opts.cases,
         &skip,
-        &ShardOptions {
-            shards: shard.shards.max(1),
-            chunk: 8,
-            checkpoint_every: if shard.checkpoint.is_some() {
-                if shard.checkpoint_every == 0 {
-                    8
-                } else {
-                    shard.checkpoint_every
-                }
-            } else {
-                0
-            },
-            stop: shard.stop.clone(),
-            sigint: shard.sigint,
-        },
+        &shard.shard_options(8),
         worker,
         |index, result: ShardCase| {
             let mut state = merged.borrow_mut();

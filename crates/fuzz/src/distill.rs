@@ -223,19 +223,26 @@ fn load_case(path: &Path, width: u32) -> io::Result<Case> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignOptions};
+    use crate::campaign::{run_campaign_sharded, CampaignOptions, ShardedCampaignOptions};
 
     #[test]
     fn distilled_corpus_preserves_the_coverage_union() {
         let dir = std::env::temp_dir().join("fpgafuzz_distill_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let report = run_campaign(&CampaignOptions {
-            seed: 7,
-            cases: 30,
-            corpus_dir: Some(dir.clone()),
-            ..CampaignOptions::default()
-        })
-        .unwrap();
+        let report = run_campaign_sharded(
+            &CampaignOptions {
+                seed: 7,
+                cases: 30,
+                corpus_dir: Some(dir.clone()),
+                ..CampaignOptions::default()
+            },
+            &ShardedCampaignOptions {
+                shards: 1,
+                ..ShardedCampaignOptions::default()
+            },
+        )
+        .unwrap()
+        .report;
         assert!(report.new_keys > 0, "campaign saved nothing to distill");
 
         let out = dir.join("distilled");

@@ -8,12 +8,13 @@
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = at least one divergence, 2 = usage or
-//! generator error. Output is deterministic for a fresh run: same seed,
-//! same cases, bit-identical bytes.
+//! generator error. Output is deterministic: same seed, same cases,
+//! bit-identical bytes at any `--shards`. `repro` regenerates a case
+//! with the bias a fresh `run` freezes, so it rebuilds the program the
+//! campaign reported at that index.
 
-use fpgafuzz::campaign::{
-    run_campaign, run_campaign_sharded, CampaignOptions, ShardedCampaignOptions,
-};
+use fpgafuzz::campaign::{run_campaign_sharded, CampaignOptions, ShardedCampaignOptions};
+use fpgafuzz::coverage::{missing_ops, CoverageMap};
 use fpgafuzz::distill::{distill, DistillOptions};
 use fpgafuzz::exec::{run_case, CaseOutcome, ExecOptions, Injection};
 use fpgafuzz::gen::{generate_case, Budget};
@@ -70,34 +71,23 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
         max_ticks: flags.u64_or("max-ticks", 5_000_000)?,
         events,
     };
-    let sharded = ["shards", "checkpoint", "checkpoint-every", "resume"]
-        .iter()
-        .any(|flag| flags.get(flag).is_some());
-    let started = std::time::Instant::now();
-    let (report, interrupted, shards) = if sharded {
-        let shard = ShardedCampaignOptions {
-            shards: flags.u64_or("shards", 1)? as usize,
-            checkpoint: flags.get("checkpoint").map(PathBuf::from),
-            checkpoint_every: flags.u64_or("checkpoint-every", 0)?,
-            resume: flags.get("resume").map(PathBuf::from),
-            stop: None,
-            sigint: true,
-        };
-        fpgatest::campaign::install_sigint();
-        let outcome = run_campaign_sharded(&opts, &shard).map_err(|e| format!("campaign: {e}"))?;
-        if let Some(note) = &outcome.salvage {
-            eprintln!("fpgafuzz: {note}");
-        }
-        (outcome.report, outcome.interrupted, shard.shards.max(1))
-    } else {
-        (
-            run_campaign(&opts).map_err(|e| format!("corpus I/O: {e}"))?,
-            false,
-            1,
-        )
+    let shard = ShardedCampaignOptions {
+        shards: (flags.u64_or("shards", 1)? as usize).max(1),
+        checkpoint: flags.get("checkpoint").map(PathBuf::from),
+        checkpoint_every: flags.u64_or("checkpoint-every", 0)?,
+        resume: flags.get("resume").map(PathBuf::from),
+        stop: None,
+        sigint: true,
     };
+    let started = std::time::Instant::now();
+    fpgatest::campaign::install_sigint();
+    let outcome = run_campaign_sharded(&opts, &shard).map_err(|e| format!("campaign: {e}"))?;
+    if let Some(note) = &outcome.salvage {
+        eprintln!("fpgafuzz: {note}");
+    }
+    let report = outcome.report;
     print!("{}", report.log);
-    if interrupted {
+    if outcome.interrupted {
         eprintln!("fpgafuzz: interrupted; checkpoint holds the completed prefix");
         return Ok(ExitCode::from(130));
     }
@@ -114,7 +104,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
             passed: opts.cases - report.divergences as u64,
             failed: report.divergences as u64,
             counters: vec![
-                ("shards".to_string(), shards as f64),
+                ("shards".to_string(), shard.shards as f64),
                 ("cases_per_sec".to_string(), cases_per_sec),
                 ("new_keys".to_string(), report.new_keys as f64),
             ],
@@ -168,8 +158,11 @@ fn cmd_repro(flags: &Flags) -> Result<ExitCode, String> {
     let seed = flags.require_u64("seed")?;
     let index = flags.require_u64("index")?;
     let width = flags.u64_or("width", 16)? as u32;
+    // The bias a fresh `fpgafuzz run` freezes, so case `index` is the
+    // very program the campaign reported.
     let budget = Budget {
         width,
+        op_bias: missing_ops(&CoverageMap::new()),
         ..Budget::default()
     };
     let exec = ExecOptions {

@@ -1,10 +1,23 @@
 //! End-to-end tests of the fuzzing campaign: determinism, the planted
-//! branch-polarity bug being caught and shrunk small, and corpus
-//! persistence.
+//! branch-polarity bug being caught and shrunk small, corpus
+//! persistence, and `fpgafuzz repro` rebuilding what `run` reported.
 
-use fpgafuzz::campaign::{run_campaign, CampaignOptions};
+use fpgafuzz::campaign::{
+    run_campaign_sharded, CampaignOptions, CampaignReport, ShardedCampaignOptions,
+};
 use fpgafuzz::exec::Injection;
 use fpgafuzz::shrink::line_count;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
+
+/// Runs a campaign on one shard, the CLI's default.
+fn run_one_shard(opts: &CampaignOptions) -> std::io::Result<CampaignReport> {
+    let shard = ShardedCampaignOptions {
+        shards: 1,
+        ..ShardedCampaignOptions::default()
+    };
+    run_campaign_sharded(opts, &shard).map(|outcome| outcome.report)
+}
 
 fn quick(seed: u64, cases: u64) -> CampaignOptions {
     CampaignOptions {
@@ -20,8 +33,8 @@ fn quick(seed: u64, cases: u64) -> CampaignOptions {
 #[test]
 fn fresh_campaigns_are_bit_identical() {
     let opts = quick(7, 40);
-    let a = run_campaign(&opts).unwrap();
-    let b = run_campaign(&opts).unwrap();
+    let a = run_one_shard(&opts).unwrap();
+    let b = run_one_shard(&opts).unwrap();
     assert_eq!(a.log, b.log);
     assert_eq!(a.divergences, 0, "clean compiler must not diverge:\n{}", a.log);
     assert_eq!(a.generator_errors, 0, "generator must emit valid cases:\n{}", a.log);
@@ -34,7 +47,7 @@ fn injected_branch_polarity_is_caught_and_shrunk() {
         injection: Some(Injection::BranchPolarity),
         ..quick(42, 20)
     };
-    let report = run_campaign(&opts).unwrap();
+    let report = run_one_shard(&opts).unwrap();
     assert!(
         report.divergences > 0,
         "the planted bug must be detected:\n{}",
@@ -103,7 +116,7 @@ fn corpus_accumulates_coverage_across_runs() {
         corpus_dir: Some(dir.clone()),
         ..quick(9, 25)
     };
-    let first = run_campaign(&opts).unwrap();
+    let first = run_one_shard(&opts).unwrap();
     assert!(first.new_keys > 0);
     assert!(dir.join("coverage.txt").is_file());
     assert!(
@@ -113,7 +126,7 @@ fn corpus_accumulates_coverage_across_runs() {
     // A second run starts from the saved map. Its generation is biased
     // differently (the missing-operator set shrank), so it may still add
     // the odd key, but coverage only grows and mostly saturates.
-    let second = run_campaign(&opts).unwrap();
+    let second = run_one_shard(&opts).unwrap();
     assert!(second.new_keys <= first.new_keys / 2);
     assert!(second.coverage.len() >= first.coverage.len());
     assert_eq!(
@@ -121,4 +134,45 @@ fn corpus_accumulates_coverage_across_runs() {
         second.coverage.render()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `fpgafuzz repro` regenerates a case with the bias a fresh `run`
+/// freezes, so every divergence a campaign reports reproduces verbatim
+/// at its index.
+#[test]
+fn every_reported_divergence_reproduces_verbatim() {
+    let fpgafuzz = env!("CARGO_BIN_EXE_fpgafuzz");
+    let planted = ["--inject", "branch-polarity", "--max-ticks", "50000"];
+    let run = Command::new(fpgafuzz)
+        .args(["run", "--seed", "42", "--cases", "40"])
+        .args(planted)
+        .output()
+        .expect("fpgafuzz run starts");
+    assert_eq!(run.status.code(), Some(1), "the planted bug diverges");
+    let log = String::from_utf8(run.stdout).expect("utf-8 log");
+    let divergences: Vec<&str> = log
+        .lines()
+        .filter(|l| l.contains(": DIVERGENCE "))
+        .collect();
+    assert!(!divergences.is_empty(), "no divergence in:\n{log}");
+    for line in divergences {
+        let index = line
+            .strip_prefix("case ")
+            .and_then(|rest| rest.split(':').next())
+            .expect("case N: prefix");
+        // The verdict line comes before the shrink; stop reading there.
+        let mut repro = Command::new(fpgafuzz)
+            .args(["repro", "--seed", "42", "--index", index])
+            .args(planted)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("fpgafuzz repro starts");
+        let mut first = String::new();
+        BufReader::new(repro.stdout.take().expect("piped stdout"))
+            .read_line(&mut first)
+            .expect("repro prints a verdict line");
+        let _ = repro.kill();
+        let _ = repro.wait();
+        assert_eq!(first.trim_end(), line, "case {index} does not reproduce");
+    }
 }

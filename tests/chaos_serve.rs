@@ -9,12 +9,11 @@
 
 use fpgatest::events::EventSink;
 use fpgatest::faults::{run_campaign_sharded, CampaignOptions, ShardedCampaignOptions};
-use fpgatest::flow::Engine;
+use fpgatest::flow::{Engine, Planted};
 use fpgatest::serve::{Client, ClientError, JobSpec, ServeOptions, Server};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::TestCase;
 use fpgatest::telemetry::Json;
-use fpgatest::workloads;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -36,14 +35,31 @@ fn scale_job(name: &str) -> JobSpec {
 
 /// A job that hangs until its wall-clock watchdog: occupies a worker
 /// for ~`wall_ms` and then finishes with the `timeout` verdict. The
-/// 1024-point FDCT needs multiple seconds to compile and simulate in a
-/// debug build, so a sub-second wall budget is guaranteed to trip.
+/// planted hang parks the job thread forever, so the budget always
+/// trips however fast the machine is.
 fn hog_job(wall_ms: u64) -> JobSpec {
-    let mut hog = JobSpec::test("fdct-hog", &workloads::fdct_source(1024))
-        .stimulus("img", Stimulus::from_values(workloads::test_image(1024)));
-    hog.width = Some(32);
+    let mut hog = scale_job("hog");
+    hog.planted = Some(Planted::Hang);
     hog.wall_ms = Some(wall_ms);
     hog
+}
+
+/// Polls `stats` until the only worker has picked up the one accepted
+/// job: `inflight` counts accepted jobs, so it must also have left the
+/// queue.
+fn wait_until_inflight(client: &mut Client) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = client.stats().expect("stats");
+        if stat(&stats, "inflight") == 1 && stat(&stats, "queued") == 0 {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no job went in flight"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn start_server(options: ServeOptions) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
@@ -221,7 +237,7 @@ fn retry_exhaustion_quarantines_the_job() {
     let mut client = Client::connect(&addr).expect("connect");
 
     let mut poison = scale_job("poison");
-    poison.planted_panic = true;
+    poison.planted = Some(Planted::Panic);
     let outcome = client.run_job(&poison).expect("quarantine is terminal");
     assert_eq!(outcome.verdict, "quarantined");
     assert_eq!(outcome.exit_code, 3, "keeps the last failure's exit code");
@@ -364,7 +380,7 @@ fn full_admission_queue_rejects_with_the_typed_overloaded_error() {
     let mut client = Client::connect(&addr).expect("connect");
 
     let hog_id = client.submit(&hog_job(600)).expect("submit hog");
-    std::thread::sleep(Duration::from_millis(150)); // worker picks up the hog
+    wait_until_inflight(&mut client);
     let queued_id = client.submit(&scale_job("queued")).expect("fills the queue");
 
     match client.submit(&scale_job("rejected")) {
@@ -395,7 +411,7 @@ fn shed_shutdown_cancels_queued_jobs_with_terminal_outcomes() {
     let mut submitter = Client::connect(&addr).expect("connect submitter");
 
     let hog_id = submitter.submit(&hog_job(600)).expect("submit hog");
-    std::thread::sleep(Duration::from_millis(150));
+    wait_until_inflight(&mut submitter);
     let q1 = submitter.submit(&scale_job("shed-1")).expect("submit shed-1");
     let q2 = submitter.submit(&scale_job("shed-2")).expect("submit shed-2");
 

@@ -5,8 +5,11 @@
 //! single harness crash, and the fault machinery is invisible on clean
 //! runs.
 
-use fpgatest::faults::{run_campaign, CampaignOptions, FaultSpec, InjectionOutcome};
-use fpgatest::flow::{Engine, FlowOptions, TestFlow};
+use fpgatest::faults::{
+    run_campaign_sharded, CampaignOptions, CampaignReport, FaultSpec, InjectionOutcome,
+    ShardedCampaignOptions,
+};
+use fpgatest::flow::{Engine, FlowError, FlowOptions, Planted, TestFlow};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::{parse_manifest, CaseResult, Suite, TestCase};
 
@@ -25,6 +28,15 @@ fn stimulus() -> Stimulus {
 
 fn passing_case(name: &str) -> TestCase {
     TestCase::new(name, PROGRAM).with_stimulus("inp", stimulus())
+}
+
+/// Runs a fault campaign on one shard, the CLI's default.
+fn run_one_shard(case: &TestCase, options: &CampaignOptions) -> Result<CampaignReport, FlowError> {
+    let shard = ShardedCampaignOptions {
+        shards: 1,
+        ..ShardedCampaignOptions::default()
+    };
+    run_campaign_sharded(case, options, &shard).map(|outcome| outcome.report)
 }
 
 /// The signal steering the compiled loop's conditional FSM transition —
@@ -71,7 +83,7 @@ fn hang_fault() -> FaultSpec {
 #[test]
 fn planted_panic_is_isolated_and_the_parallel_report_is_complete() {
     let mut boom = passing_case("boom");
-    boom.options.planted_panic = true;
+    boom.options.planted = Some(Planted::Panic);
     let suite = Suite::new()
         .with_case(passing_case("a"))
         .with_case(boom)
@@ -185,7 +197,7 @@ fn seeded_campaign_classifies_every_injection_without_crashing() {
         max_ticks: Some(20_000),
         ..CampaignOptions::default()
     };
-    let report = run_campaign(&case, &options).expect("campaign runs");
+    let report = run_one_shard(&case, &options).expect("campaign runs");
 
     assert!(
         report.site_pool >= 200,
@@ -207,7 +219,7 @@ fn seeded_campaign_classifies_every_injection_without_crashing() {
     assert!(report.detected_fraction() > 0.0);
 
     // Same seed, same sites: bit-identical log.
-    let again = run_campaign(&case, &options).expect("campaign reruns");
+    let again = run_one_shard(&case, &options).expect("campaign reruns");
     assert_eq!(report.render(), again.render());
 }
 
@@ -227,7 +239,7 @@ fn batch_campaign_matches_level_campaign_classification() {
             max_ticks: Some(20_000),
             ..CampaignOptions::default()
         };
-        reports.push(run_campaign(&case, &options).expect("campaign runs"));
+        reports.push(run_one_shard(&case, &options).expect("campaign runs"));
     }
     let (level, batch) = (&reports[0], &reports[1]);
     assert_eq!(level.injections.len(), batch.injections.len());
@@ -276,7 +288,7 @@ fn no_engine_reports_transient_skips() {
             max_ticks: Some(20_000),
             ..CampaignOptions::default()
         };
-        let campaign = run_campaign(&case, &options).expect("campaign runs");
+        let campaign = run_one_shard(&case, &options).expect("campaign runs");
         assert!(
             campaign.injections.iter().any(|r| r.fault.is_transient()),
             "engine {engine}: the sampled campaign must include transient sites"
