@@ -23,8 +23,12 @@
 //! The run doubles as an equivalence gate: the four engines must leave
 //! word-identical final memories, and their cycle counts may differ by
 //! at most one (the compiled engines count the cycle-0 reset step; the
-//! event path derives cycles from the stop time). Any disagreement exits
-//! non-zero — CI runs this at 4,096 pixels as `ablation-smoke`.
+//! event path derives cycles from the stop time). The cycle, level and
+//! batch engines' cycles and evals must also match the checked-in
+//! baseline (`crates/bench/baselines/engine_counters.json`) exactly at
+//! every size it lists: drift means the compiled engines' semantics
+//! changed. Any disagreement exits non-zero — CI runs this at 4,096
+//! pixels as `ablation-smoke`.
 //!
 //! Usage: `ablation_bench [--pixels N]... [--repeat R] [--batch-floor F]
 //! [--metrics-out FILE]` (default sizes 1024, 4096, 16384, 65536; `R`
@@ -39,7 +43,7 @@ use fpgatest::telemetry::{self, Json, Recorder};
 use fpgatest::workloads;
 use nenya::schedule::SchedulePolicy;
 use nenya::CompileOptions;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Lanes per batch walk (the batch engine's fixed width).
@@ -51,6 +55,43 @@ const DEFAULT_BATCH_FLOOR: f64 = 10.0;
 
 /// The FDCT1-64k size the default batch gate applies to.
 const GATED_PIXELS: usize = 65536;
+
+/// One pinned `(pixels, engine)` counter pair of the baseline file.
+struct BaselineRow {
+    pixels: usize,
+    engine: String,
+    cycles: u64,
+    evals: u64,
+}
+
+fn load_baseline(path: &Path) -> Result<Vec<BaselineRow>, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("baseline {}: {e}", path.display()))?;
+    let json = Json::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))?;
+    let rows = json
+        .get("rows")
+        .and_then(Json::as_array)
+        .ok_or("baseline: missing 'rows' array")?;
+    let field = |row: &Json, key: &str| -> Result<u64, String> {
+        row.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("baseline row: missing integer '{key}'"))
+    };
+    rows.iter()
+        .map(|row| {
+            Ok(BaselineRow {
+                pixels: field(row, "pixels")? as usize,
+                engine: row
+                    .get("engine")
+                    .and_then(Json::as_str)
+                    .ok_or("baseline row: missing 'engine'")?
+                    .to_string(),
+                cycles: field(row, "cycles")?,
+                evals: field(row, "evals")?,
+            })
+        })
+        .collect()
+}
 
 struct EngineRow {
     engine: Engine,
@@ -104,6 +145,15 @@ fn main() -> ExitCode {
     if pixels.is_empty() {
         pixels = vec![1024, 4096, 16384, 65536];
     }
+    let baseline_path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/engine_counters.json");
+    let baseline = match load_baseline(&baseline_path) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("ablation_bench: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
     println!("engine ablation (FDCT1): event kernel vs cycle sweeper vs levelized\n");
     let mut recorder = Recorder::new();
@@ -160,6 +210,30 @@ fn main() -> ExitCode {
                     row.engine, row.cycles, event.cycles
                 );
                 disagreement = true;
+            }
+        }
+
+        // Counter-drift gate against the pinned compiled-engine counters.
+        for row in &rows {
+            let engine = row.engine.to_string();
+            let Some(base) = baseline
+                .iter()
+                .find(|b| b.pixels == px && b.engine == engine)
+            else {
+                continue;
+            };
+            for (what, got, want) in [
+                ("cycles", row.cycles, base.cycles),
+                ("evals", row.evals, base.evals),
+            ] {
+                if got != want {
+                    eprintln!(
+                        "ablation_bench: COUNTER DRIFT at {px} px: '{engine}' {what} = {got}, \
+                         baseline {want} ({})",
+                        baseline_path.display()
+                    );
+                    disagreement = true;
+                }
             }
         }
 
@@ -332,7 +406,10 @@ fn main() -> ExitCode {
     println!("\nwrote {}", metrics_out.display());
 
     if disagreement {
-        eprintln!("ablation_bench: engines disagree — the compiled engines are not equivalent");
+        eprintln!(
+            "ablation_bench: failed — engine disagreement, counter drift, or batch \
+             throughput below the floor (see above)"
+        );
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS

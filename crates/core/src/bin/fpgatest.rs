@@ -277,8 +277,10 @@ fn emit_telemetry(
 
 /// Renders every `--profile` block as flamegraph-compatible folded
 /// stacks (`frame;frame;frame count`, one line per leaf, counts in
-/// microseconds): `design;config;event;<class>`, `…;level;rank N`, and
-/// `…;cycle;<phase>` frames, ready for flamegraph.pl or inferno.
+/// microseconds): `design;config;event;<class>` and
+/// `…;<engine>;<phase>` frames, with the level engine's ranks nested
+/// as `…;level;settle;rank N` under the settle phase, ready for
+/// flamegraph.pl or inferno.
 fn folded_stacks(report: &SuiteReport) -> String {
     let micros = |nanos: u64| (nanos / 1_000).max(1);
     let mut out = String::new();
@@ -296,20 +298,25 @@ fn folded_stacks(report: &SuiteReport) -> String {
                     micros(class.nanos)
                 ));
             }
-            for rank in &profile.ranks {
-                out.push_str(&format!(
-                    "{name};{};level;rank {} {}\n",
-                    run.name,
-                    rank.rank,
-                    micros(rank.nanos)
-                ));
-            }
+            let engine = &profile.engine;
             for phase in &profile.phases {
+                let mut nanos = phase.nanos;
+                if phase.phase == "settle" {
+                    for rank in &profile.ranks {
+                        out.push_str(&format!(
+                            "{name};{};{engine};settle;rank {} {}\n",
+                            run.name,
+                            rank.rank,
+                            micros(rank.nanos)
+                        ));
+                        nanos = nanos.saturating_sub(rank.nanos);
+                    }
+                }
                 out.push_str(&format!(
-                    "{name};{};cycle;{} {}\n",
+                    "{name};{};{engine};{} {}\n",
                     run.name,
                     phase.phase,
-                    micros(phase.nanos)
+                    micros(nanos)
                 ));
             }
         }

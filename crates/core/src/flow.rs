@@ -159,8 +159,9 @@ pub struct FlowOptions {
     pub events: EventSink,
     /// Collect an engine profile per configuration into
     /// [`ConfigRun::profile`]: per-component-class evaluation timing on
-    /// the event kernel, per-rank settle timing and dirty-bitset hit
-    /// rates on the level engine, per-phase timing on the cycle engine.
+    /// the event kernel, per-phase step timing on the compiled engines,
+    /// plus per-rank settle timing and dirty-bitset hit rates on the
+    /// level engine and FSM fast-path counts on the batch engine.
     /// Profiling only observes — kernel counters, cycle counts, and
     /// verdicts are bit-identical with it on or off — and costs nothing
     /// when off.
@@ -310,28 +311,26 @@ impl CompiledSim {
     /// The engine profile accumulated since construction, translated
     /// into the flow's [`ConfigProfile`] shape.
     fn profile(&self) -> ConfigProfile {
+        let phases = |times: &eventsim::profile::PhaseTimes| -> Vec<PhaseProfile> {
+            times
+                .phases()
+                .map(|(phase, nanos)| PhaseProfile {
+                    phase: phase.to_string(),
+                    nanos,
+                })
+                .collect()
+        };
+        let engine = match self {
+            CompiledSim::Cycle(_) => Engine::Cycle,
+            CompiledSim::Level(_) => Engine::Level,
+            CompiledSim::Batch(_) => Engine::Batch,
+        };
         match self {
-            CompiledSim::Cycle(s) => {
-                let phases = s
-                    .profile()
-                    .map(|p| {
-                        vec![
-                            PhaseProfile {
-                                phase: "settle".to_string(),
-                                nanos: p.settle_nanos,
-                            },
-                            PhaseProfile {
-                                phase: "commit".to_string(),
-                                nanos: p.commit_nanos,
-                            },
-                        ]
-                    })
-                    .unwrap_or_default();
-                ConfigProfile {
-                    phases,
-                    ..ConfigProfile::default()
-                }
-            }
+            CompiledSim::Cycle(s) => ConfigProfile {
+                engine,
+                phases: s.profile().map(phases).unwrap_or_default(),
+                ..ConfigProfile::default()
+            },
             CompiledSim::Level(s) => {
                 let ranks = s
                     .profile()
@@ -351,13 +350,27 @@ impl CompiledSim {
                     })
                     .unwrap_or_default();
                 ConfigProfile {
+                    engine,
                     ranks,
+                    phases: s.profile().map(|p| phases(&p.phases)).unwrap_or_default(),
                     ..ConfigProfile::default()
                 }
             }
-            // The batch engine has no per-rank or per-phase profile:
-            // the bytecode walk is one undifferentiated loop.
-            CompiledSim::Batch(_) => ConfigProfile::default(),
+            CompiledSim::Batch(s) => match s.profile() {
+                Some(p) => ConfigProfile {
+                    engine,
+                    phases: phases(&p.phases),
+                    counters: vec![
+                        ("fsm_fast_path".to_string(), p.fsm_fast_path),
+                        ("fsm_per_lane".to_string(), p.fsm_per_lane),
+                    ],
+                    ..ConfigProfile::default()
+                },
+                None => ConfigProfile {
+                    engine,
+                    ..ConfigProfile::default()
+                },
+            },
         }
     }
 }
@@ -463,29 +476,37 @@ pub struct RankProfile {
     pub hit_rate: f64,
 }
 
-/// Per-phase timing on the cycle engine.
+/// Per-phase step timing on a compiled engine (cycle, level, batch).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseProfile {
-    /// Phase name (`settle`, `commit`).
+    /// Phase name, one of [`eventsim::profile::StepPhase::name`]'s.
     pub phase: String,
     /// Monotonic nanoseconds spent in the phase.
     pub nanos: u64,
 }
 
 /// Engine profile of one configuration, collected under
-/// [`FlowOptions::profile`]. Exactly one section is populated,
-/// depending on the engine that ran: `classes` (event kernel), `ranks`
-/// (level engine), or `phases` (cycle engine).
+/// [`FlowOptions::profile`]. Which sections are populated depends on
+/// the engine that ran: `classes` (event kernel), `phases` (every
+/// compiled engine), `ranks` (level engine) and `counters` (batch
+/// engine).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigProfile {
+    /// The engine that ran.
+    pub engine: Engine,
     /// Event kernel: per-component-class evaluation timing, descending
     /// by nanoseconds.
     pub classes: Vec<ClassProfile>,
     /// Level engine: per-rank settle timing and dirty-bitset hit rates,
-    /// in rank order.
+    /// in rank order. The ranks' time is part of the `settle` phase.
     pub ranks: Vec<RankProfile>,
-    /// Cycle engine: per-phase timing.
+    /// Compiled engines: per-phase step timing, in step order. The
+    /// phases tile the simulate span.
     pub phases: Vec<PhaseProfile>,
+    /// Batch engine: `(name, count)` event counters — control-unit
+    /// edges on the uniform fast path (`fsm_fast_path`) and on the
+    /// per-lane fallback (`fsm_per_lane`).
+    pub counters: Vec<(String, u64)>,
 }
 
 /// Result of simulating one configuration.
@@ -1968,6 +1989,7 @@ fn simulate_prepared(
                 .collect();
             classes.sort_by(|a, b| b.nanos.cmp(&a.nanos).then_with(|| a.class.cmp(&b.class)));
             ConfigProfile {
+                engine: Engine::Event,
                 classes,
                 ..ConfigProfile::default()
             }

@@ -819,7 +819,8 @@ fn finished_design_json(name: &str, report: &TestReport) -> Json {
 
 /// The `profile` block of one configuration: only the sections the
 /// engine actually filled in are present (classes for the event kernel,
-/// ranks for the levelized engine, phases for the cycle sweeper).
+/// phases for every compiled engine, ranks for the levelized engine,
+/// counters for the batch engine).
 fn profile_json(profile: &ConfigProfile) -> Json {
     let mut members = Vec::new();
     if !profile.classes.is_empty() {
@@ -874,6 +875,18 @@ fn profile_json(profile: &ConfigProfile) -> Json {
                             ("nanos", p.nanos.into()),
                         ])
                     })
+                    .collect(),
+            ),
+        ));
+    }
+    if !profile.counters.is_empty() {
+        members.push((
+            "counters".to_string(),
+            Json::Obj(
+                profile
+                    .counters
+                    .iter()
+                    .map(|(name, count)| (name.clone(), (*count).into()))
                     .collect(),
             ),
         ));

@@ -37,11 +37,22 @@
 //! Faults are per-lane: stuck-at clamps carry a 64-lane AND/OR row per
 //! faulted slot, transient flips carry a lane mask, so a fault campaign
 //! can pack 64 fault sites into one batch walk.
+//!
+//! The edge commit is sparse like the level engine's: a control unit
+//! rewrites only the Moore outputs its old or new state lists, once per
+//! walk when every running lane agrees on the transition (the uniform
+//! fast path), per lane otherwise. The lane mask of nonzero words per
+//! slot, which register enables, resets, SRAM write enables and FSM
+//! conditions consult every walk, is cached and rescanned only after the
+//! slot's column changes. [`BatchSim::enable_profile`] times each walk in
+//! the compiled engines' [`StepPhase`]s and counts fast-path hits against
+//! per-lane FSM fallbacks.
 
 use crate::cyclesim::{CycleOutcome, CycleSimError, CycleSummary};
 use crate::levelsim::LevelSim;
 use crate::netlist::Netlist;
 use crate::ops::{FsmTable, OpKind};
+use crate::profile::{lap, PhaseTimes, StepPhase};
 use crate::simmodel::Comb;
 use crate::value::{mask, Value};
 use std::collections::HashMap;
@@ -192,6 +203,19 @@ pub struct BatchSummary {
     pub lanes: Vec<Option<LaneResult>>,
 }
 
+/// Walk-phase timing and FSM drive counts, collected when
+/// [`BatchSim::enable_profile`] was called.
+#[derive(Debug, Clone, Default)]
+pub struct BatchProfile {
+    /// Time per walk phase; the phases tile every walk.
+    pub phases: PhaseTimes,
+    /// Control-unit edges resolved once for every running lane.
+    pub fsm_fast_path: u64,
+    /// Control-unit edges that fell back to the per-lane drive
+    /// (divergent lanes, an X condition, or a forced full re-drive).
+    pub fsm_per_lane: u64,
+}
+
 /// The batch engine. See the [module docs](self).
 pub struct BatchSim {
     ops: Vec<BOp>,
@@ -203,10 +227,14 @@ pub struct BatchSim {
     values: Vec<i64>,
     /// Known lane mask per slot.
     known: Vec<u64>,
+    /// Cached lane mask of nonzero words per slot (see
+    /// [`nonzero_mask`](Self::nonzero_mask)); `None` once the column
+    /// changed. Every column write marks the slot through
+    /// [`mark_slot`](Self::mark_slot), which clears the entry.
+    truth: Vec<Option<u64>>,
     /// Post-construction snapshot per slot (lane-uniform), for
     /// [`reset_state`](Self::reset_state).
-    initial_vals: Vec<i64>,
-    initial_known: Vec<bool>,
+    initial: Vec<Option<i64>>,
     regs: Vec<BReg>,
     srams: Vec<BSram>,
     mems: Vec<BMem>,
@@ -273,6 +301,8 @@ pub struct BatchSim {
     lane_cycles: Vec<u64>,
     cycles: u64,
     comb_evals: u64,
+    /// Opt-in walk profiling; `None` costs one branch per phase.
+    profile: Option<Box<BatchProfile>>,
 }
 
 /// Canonicalizes a raw result at `shift = 64 - width`.
@@ -308,6 +338,18 @@ fn vec_un(values: &[i64], a: usize, shift: u32, out: &mut [i64; LANES], f: impl 
     for l in 0..LANES {
         out[l] = canon(f(va[l]), shift);
     }
+}
+
+/// The set lanes of a lane mask, in ascending order.
+#[inline]
+fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
 }
 
 /// Sets the first `n` bits of a dirty bitset.
@@ -402,8 +444,7 @@ impl BatchSim {
             });
         }
 
-        let initial_vals: Vec<i64> = model.values.iter().map(|v| v.try_i64().unwrap_or(0)).collect();
-        let initial_known: Vec<bool> = model.values.iter().map(|v| !v.is_x()).collect();
+        let initial: Vec<Option<i64>> = model.values.iter().map(Value::try_i64).collect();
 
         let regs: Vec<BReg> = model
             .regs
@@ -520,8 +561,8 @@ impl BatchSim {
             mux_pool,
             values: vec![0; slots * LANES],
             known: vec![0; slots],
-            initial_vals,
-            initial_known,
+            truth: vec![None; slots],
+            initial,
             widths,
             regs,
             srams,
@@ -555,6 +596,7 @@ impl BatchSim {
             lane_cycles: vec![0; LANES],
             cycles: 0,
             comb_evals: 0,
+            profile: None,
         };
         sim.broadcast_initials();
         Ok(sim)
@@ -565,11 +607,12 @@ impl BatchSim {
     /// walk evaluates everything, like the sequential engines).
     fn broadcast_initials(&mut self) {
         for slot in 0..self.widths.len() {
-            let v = self.initial_vals[slot];
+            let v = self.initial[slot].unwrap_or(0);
             let base = slot * LANES;
             self.values[base..base + LANES].fill(v);
-            self.known[slot] = if self.initial_known[slot] { !0 } else { 0 };
+            self.known[slot] = if self.initial[slot].is_some() { !0 } else { 0 };
         }
+        self.truth.fill(None);
         self.mark_all();
     }
 
@@ -585,10 +628,26 @@ impl BatchSim {
         self.dirty[(op / 64) as usize] |= 1u64 << (op % 64);
     }
 
-    /// Lane mask of nonzero words in a slot's column (a branch-free
-    /// column scan the compiler vectorizes to compare-and-movemask).
+    /// Lane mask of nonzero words in a slot's column, rescanned only
+    /// when the column changed since the last call.
     #[inline]
-    fn nonzero_mask(&self, slot: usize) -> u64 {
+    fn nonzero_mask(&mut self, slot: usize) -> u64 {
+        let truth = match self.truth[slot] {
+            Some(truth) => truth,
+            None => {
+                let truth = self.scan_nonzero(slot);
+                self.truth[slot] = Some(truth);
+                truth
+            }
+        };
+        debug_assert_eq!(truth, self.scan_nonzero(slot), "stale truth mask");
+        truth
+    }
+
+    /// The column scan behind [`nonzero_mask`](Self::nonzero_mask)
+    /// (branch-free; the compiler vectorizes it to compare-and-movemask).
+    #[inline]
+    fn scan_nonzero(&self, slot: usize) -> u64 {
         let col = &self.values[slot * LANES..slot * LANES + LANES];
         let mut m = 0u64;
         for (l, &v) in col.iter().enumerate() {
@@ -599,9 +658,11 @@ impl BatchSim {
 
     /// Marks everything that reads `slot`: the comb ops with it as an
     /// input, and the registers sampling it as `d`/`en`/`rst`. The batch
-    /// twin of the level engine's `mark_slot`.
+    /// twin of the level engine's `mark_slot`. Every write to a slot's
+    /// column calls this, which also invalidates its cached truth mask.
     #[inline]
     fn mark_slot(&mut self, slot: usize) {
+        self.truth[slot] = None;
         for &op in &self.readers[slot] {
             self.dirty[(op / 64) as usize] |= 1u64 << (op % 64);
         }
@@ -642,7 +703,6 @@ impl BatchSim {
         }
         let mut out_ids = Vec::new();
         let mut out_shifts = Vec::new();
-        let mut out_widths = Vec::new();
         for (o, w) in outputs {
             out_ids.push(
                 self.signal_index
@@ -651,22 +711,14 @@ impl BatchSim {
                     .ok_or_else(|| CycleSimError::Build(format!("unknown signal '{o}'")))?,
             );
             out_shifts.push(64 - *w);
-            out_widths.push(*w);
         }
         let state_values: Vec<Vec<i64>> = table
-            .states()
-            .iter()
-            .map(|state| {
-                (0..out_ids.len())
-                    .map(|i| {
-                        let value = state
-                            .outputs
-                            .iter()
-                            .find(|(out, _)| *out == i)
-                            .map(|(_, v)| *v)
-                            .unwrap_or(0);
-                        Value::known(out_widths[i], value).as_i64()
-                    })
+            .output_rows()
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .zip(outputs)
+                    .map(|(value, &(_, width))| Value::known(width, value).as_i64())
                     .collect()
             })
             .collect();
@@ -747,6 +799,9 @@ impl BatchSim {
         self.lane_cycles.iter_mut().for_each(|c| *c = 0);
         self.cycles = 0;
         self.comb_evals = 0;
+        if self.profile.is_some() {
+            self.enable_profile();
+        }
     }
 
     /// Injects a stuck-at fault on one bit of a named signal, in every
@@ -1005,9 +1060,25 @@ impl BatchSim {
         self.comb_evals
     }
 
-    /// Profiling hook for engine-interface parity: the batch engine has
-    /// no per-rank profile; this is a no-op.
-    pub fn enable_profile(&mut self) {}
+    /// Turns on walk profiling: [`StepPhase`] times (every phase but
+    /// the level engine's re-mark) and FSM fast-path counts. Profiling
+    /// only observes: counters, values, and outcomes are bit-identical
+    /// with it on or off.
+    pub fn enable_profile(&mut self) {
+        self.profile = Some(Box::default());
+    }
+
+    /// The accumulated profile, when
+    /// [`enable_profile`](Self::enable_profile) was called.
+    pub fn profile(&self) -> Option<&BatchProfile> {
+        self.profile.as_deref()
+    }
+
+    /// Charges a walk-phase boundary when profiling is on.
+    #[inline]
+    fn lap(&mut self, phase: StepPhase) {
+        lap(self.profile.as_deref_mut().map(|p| &mut p.phases), phase);
+    }
 
     /// Marks a lane failed at the current (pre-increment) cycle and
     /// drops it from the running mask. First failure wins, matching the
@@ -1063,6 +1134,9 @@ impl BatchSim {
     /// edge commit, and per-lane termination — the batch twin of the
     /// sequential engines' `step`.
     fn walk(&mut self) {
+        if let Some(profile) = self.profile.as_mut() {
+            profile.phases.begin();
+        }
         // Transient flips scheduled for this cycle, known lanes only.
         if !self.flips.is_empty() {
             for i in 0..self.flips.len() {
@@ -1121,8 +1195,10 @@ impl BatchSim {
                 self.mark_slot(y);
             }
         }
+        self.lap(StepPhase::FlipsReset);
 
         self.eval_ops();
+        self.lap(StepPhase::Settle);
         self.commit_edge();
     }
 
@@ -1286,6 +1362,28 @@ impl BatchSim {
                 out.copy_from_slice(&self.values[y * LANES..y * LANES + LANES]);
                 let sel_base = sel * LANES;
                 let ksel = self.known[sel];
+                let sel_col = &self.values[sel_base..sel_base + LANES];
+                // Uniform fast path: every lane selects the same input
+                // (the select is usually an FSM output) — one column
+                // copy instead of the per-lane gather.
+                if ksel == !0 && sel_col.iter().all(|&v| v == sel_col[0]) {
+                    let s = ((sel_col[0] as u64) & sel_mask) as usize;
+                    if s >= n as usize {
+                        return self.write_column(y, out, 0, shift); // X everywhere
+                    }
+                    let input = self.mux_pool[lo as usize + s] as usize;
+                    let kin = self.known[input];
+                    if kin == !0 {
+                        vec_un(&self.values, input, shift, &mut out, |x| x);
+                    } else {
+                        // Lanes whose input is X keep their old word, as
+                        // on the per-lane path.
+                        for l in lanes(kin) {
+                            out[l] = canon(self.values[input * LANES + l], shift);
+                        }
+                    }
+                    return self.write_column(y, out, kin, shift);
+                }
                 let mut kout = 0u64;
                 for (l, o) in out.iter_mut().enumerate() {
                     let bit = 1u64 << l;
@@ -1367,11 +1465,16 @@ impl BatchSim {
             }
         };
 
+        self.write_column(y, out, kout, shift);
+    }
+
+    /// Writes an evaluated column back: applies the fault clamp to the
+    /// known lanes and — only when the column or its known mask actually
+    /// changed — stores it and marks the slot's readers.
+    #[inline]
+    fn write_column(&mut self, y: usize, mut out: [i64; LANES], kout: u64, shift: u32) {
         if !self.clamp_of.is_empty() && self.clamp_of[y] != u32::MAX {
-            let mut m = kout;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
+            for l in lanes(kout) {
                 out[l] = self.clamp_lane(y, l, out[l], shift);
             }
         }
@@ -1391,21 +1494,22 @@ impl BatchSim {
     /// Relies on the invariant that each running lane's output columns
     /// hold the (clamped) Moore values of its current state — true
     /// after registration, maintained by every drive path, and restored
-    /// after transient flips by the forced per-lane redrive.
+    /// after transient flips by the forced per-lane redrive. So only the
+    /// outputs the old or the new state lists can change.
     fn fsm_fast_path(&mut self, fi: usize, fsm: &BFsm, done_mask: &mut u64) -> bool {
         let running = self.running;
         if running == 0 {
             return true;
         }
-        let first = running.trailing_zeros() as usize;
-        let su = self.fsm_state[fi * LANES + first] as usize;
-        let mut m = running & (running - 1);
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.fsm_state[fi * LANES + l] as usize != su {
-                return false;
-            }
+        let lane_states = &self.fsm_state[fi * LANES..fi * LANES + LANES];
+        let su = lane_states[running.trailing_zeros() as usize] as usize;
+        let uniform = if running == !0 {
+            lane_states.iter().all(|&st| st as usize == su)
+        } else {
+            lanes(running).all(|l| lane_states[l] as usize == su)
+        };
+        if !uniform {
+            return false;
         }
         let states = fsm.table.states();
         let current = &states[su];
@@ -1441,28 +1545,48 @@ impl BatchSim {
             }
         }
         if next != su {
-            let mut m = running;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                self.fsm_state[fi * LANES + l] = next as u32;
+            let lane_states = &mut self.fsm_state[fi * LANES..fi * LANES + LANES];
+            if running == !0 {
+                lane_states.fill(next as u32);
+            } else {
+                for l in lanes(running) {
+                    lane_states[l] = next as u32;
+                }
             }
-            for (j, &slot) in fsm.outputs.iter().enumerate() {
+            let listed = states[su].outputs.iter().chain(&states[next].outputs);
+            for &(j, _) in listed {
                 let vnew = fsm.state_values[next][j];
                 if vnew == fsm.state_values[su][j] {
                     continue; // same Moore value in both states
                 }
-                let slot = slot as usize;
-                let shift = fsm.out_shifts[j];
+                let slot = fsm.outputs[j] as usize;
                 let base = slot * LANES;
-                let mut m = running;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.values[base + l] = self.clamp_lane(slot, l, vnew, shift);
-                }
+                let clamped = !self.clamp_of.is_empty() && self.clamp_of[slot] != u32::MAX;
+                let old_truth = self.truth[slot];
                 self.known[slot] |= running;
                 self.mark_slot(slot);
+                if clamped {
+                    let shift = fsm.out_shifts[j];
+                    for l in lanes(running) {
+                        self.values[base + l] = self.clamp_lane(slot, l, vnew, shift);
+                    }
+                } else {
+                    if running == !0 {
+                        self.values[base..base + LANES].fill(vnew);
+                    } else {
+                        for l in lanes(running) {
+                            self.values[base + l] = vnew;
+                        }
+                    }
+                    // Every running lane now holds `vnew`, so the truth
+                    // mask follows without a rescan.
+                    let lanes_true = if vnew != 0 { running } else { 0 };
+                    self.truth[slot] = match old_truth {
+                        Some(truth) => Some((truth & !running) | lanes_true),
+                        None if running == !0 => Some(lanes_true),
+                        None => None,
+                    };
+                }
             }
         }
         if states[next].terminal {
@@ -1535,6 +1659,7 @@ impl BatchSim {
             self.reg_commit[r] = rst_mask | en_mask;
             self.reg_known[r] = (self.known[d] & en_mask & !rst_mask) | rst_mask;
         }
+        self.lap(StepPhase::RegSample);
 
         // Phase b: SRAM writes, in instance order, running lanes only.
         for s in 0..self.srams.len() {
@@ -1596,20 +1721,30 @@ impl BatchSim {
                 self.mark_op(op);
             }
         }
+        self.lap(StepPhase::Sram);
 
         // Phase c: FSM transitions + Moore outputs, running lanes only.
         // When every running lane sits in the same state and the
         // consulted conditions resolve identically across them, the
-        // transition is computed once and only the outputs whose value
-        // differs between the two states are rewritten (and marked) —
-        // on a quiet cycle this phase touches nothing. Divergent lanes,
-        // X conditions, and flip-forced walks fall back to the per-lane
-        // drive with per-write change detection.
+        // transition is computed once and only the listed outputs whose
+        // value differs between the two states are rewritten (and
+        // marked) — on a quiet cycle this phase touches nothing.
+        // Divergent lanes and X conditions fall back to the per-lane
+        // drive of the listed outputs, flip-forced walks to the per-lane
+        // drive of every output, both with per-write change detection.
         let fsms = std::mem::take(&mut self.fsms);
         let force = std::mem::take(&mut self.force_fsm_drive);
         let mut done_mask = 0u64;
         for (fi, fsm) in fsms.iter().enumerate() {
-            if !force && self.fsm_fast_path(fi, fsm, &mut done_mask) {
+            let fast = !force && self.fsm_fast_path(fi, fsm, &mut done_mask);
+            if let Some(profile) = self.profile.as_mut() {
+                if fast {
+                    profile.fsm_fast_path += 1;
+                } else {
+                    profile.fsm_per_lane += 1;
+                }
+            }
+            if fast {
                 continue;
             }
             let states = fsm.table.states();
@@ -1655,8 +1790,16 @@ impl BatchSim {
                     next
                 };
                 self.fsm_state[fi * LANES + l] = next as u32;
-                for (j, &slot) in fsm.outputs.iter().enumerate() {
-                    let slot = slot as usize;
+                let listed = states[st].outputs.iter().chain(&states[next].outputs);
+                let outputs: &mut dyn Iterator<Item = usize> = if force {
+                    &mut (0..fsm.outputs.len())
+                } else if next != st {
+                    &mut listed.map(|&(j, _)| j)
+                } else {
+                    &mut std::iter::empty()
+                };
+                for j in outputs {
+                    let slot = fsm.outputs[j] as usize;
                     let v = self.clamp_lane(
                         slot,
                         l,
@@ -1675,7 +1818,12 @@ impl BatchSim {
                 }
             }
         }
+        debug_assert!(
+            self.fsm_outputs_hold_state(&fsms),
+            "an FSM output lane lost its Moore value"
+        );
         self.fsms = fsms;
+        self.lap(StepPhase::Fsm);
 
         // Phase d: register commit (non-blocking) for the registers
         // sampled this edge, running lanes only — a lane that failed
@@ -1775,6 +1923,24 @@ impl BatchSim {
             self.running &= !bit;
             self.freeze_lane(l);
         }
+        self.lap(StepPhase::RegCommitWatch);
+    }
+
+    /// Whether every running lane of every FSM output slot holds the
+    /// clamped Moore value of that lane's current state — the invariant
+    /// the sparse drive in [`commit_edge`](Self::commit_edge) relies on.
+    fn fsm_outputs_hold_state(&self, fsms: &[BFsm]) -> bool {
+        fsms.iter().enumerate().all(|(fi, fsm)| {
+            lanes(self.running).all(|l| {
+                let state = self.fsm_state[fi * LANES + l] as usize;
+                fsm.outputs.iter().enumerate().all(|(j, &slot)| {
+                    let slot = slot as usize;
+                    let value = fsm.state_values[state][j];
+                    let want = self.clamp_lane(slot, l, value, fsm.out_shifts[j]);
+                    self.known[slot] & (1u64 << l) != 0 && self.values[slot * LANES + l] == want
+                })
+            })
+        })
     }
 
     /// Walks the schedule until every active lane has finished, failed,
@@ -1798,6 +1964,9 @@ impl BatchSim {
                 break;
             }
             self.walk();
+        }
+        if let Some(p) = self.profile.as_mut() {
+            p.phases.stop();
         }
         BatchSummary {
             lanes: (0..LANES)

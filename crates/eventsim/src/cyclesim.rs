@@ -18,11 +18,11 @@
 use crate::memory::MemHandle;
 use crate::netlist::Netlist;
 use crate::ops::FsmTable;
+use crate::profile::{lap, PhaseTimes, StepPhase};
 use crate::simmodel::{eval_comb, FlatModel};
 use crate::value::Value;
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 /// How many unstable/involved instances an error message spells out before
 /// eliding the rest.
@@ -134,23 +134,9 @@ pub struct CycleSim {
     changed_scratch: Vec<usize>,
     sram_scratch: Vec<usize>,
     unstable_scratch: Vec<usize>,
-    /// Opt-in per-phase timing. `None` (the default) costs two
-    /// `is_some` branches per clock cycle — nothing per evaluation.
-    profile: Option<Box<CycleProfile>>,
-}
-
-/// Per-phase timing of the cycle engine's step loop, collected when
-/// [`CycleSim::enable_profile`] was called.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CycleProfile {
-    /// Clock cycles profiled.
-    pub cycles: u64,
-    /// Monotonic nanoseconds spent in the settle phase (the
-    /// sweep-to-fixpoint over every combinational instance).
-    pub settle_nanos: u64,
-    /// Monotonic nanoseconds spent committing the rising edge
-    /// (registers, SRAM writes, FSM transitions).
-    pub commit_nanos: u64,
+    /// Opt-in step-phase timing. `None` (the default) costs one
+    /// `is_some` branch per phase boundary — nothing per evaluation.
+    profile: Option<Box<PhaseTimes>>,
 }
 
 impl CycleSim {
@@ -201,9 +187,10 @@ impl CycleSim {
         }
     }
 
-    /// The accumulated profile, when [`enable_profile`](Self::enable_profile)
-    /// was called.
-    pub fn profile(&self) -> Option<&CycleProfile> {
+    /// The accumulated step-phase times, when
+    /// [`enable_profile`](Self::enable_profile) was called. The cycle
+    /// engine runs every [`StepPhase`] except the level engine's re-mark.
+    pub fn profile(&self) -> Option<&PhaseTimes> {
         self.profile.as_deref()
     }
 
@@ -319,12 +306,17 @@ impl CycleSim {
     ///
     /// Propagates settling failures and design failures.
     pub fn step(&mut self) -> Result<Option<CycleOutcome>, CycleSimError> {
+        if let Some(profile) = self.profile.as_mut() {
+            profile.begin();
+        }
         // Transient fault flips scheduled for this cycle apply before the
         // settle, so the faulty value propagates through combinational
         // logic and is sampled by the edge commit — mirroring the event
         // kernel's flip-just-before-the-edge timing. A flip on a
         // comb-driven slot is recomputed away by the sweep; flips are
-        // meaningful on sequential outputs (registers, FSM outputs).
+        // meaningful on sequential outputs (registers, FSM outputs), and
+        // the next edge re-drives every FSM output so a flipped one
+        // reverts.
         if !self.model.fault_flips.is_empty() {
             for i in 0..self.model.fault_flips.len() {
                 let (cycle, slot, mask) = self.model.fault_flips[i];
@@ -332,6 +324,7 @@ impl CycleSim {
                     let v = self.model.values[slot];
                     if let Some(bits) = v.try_u64() {
                         self.model.values[slot] = Value::known(v.width(), (bits ^ mask) as i64);
+                        self.model.fsm_full_drive = true;
                     }
                 }
             }
@@ -344,23 +337,20 @@ impl CycleSim {
             let value = self.model.clamp_value(y, Value::bit(reset_active));
             self.model.values[y] = value;
         }
+        lap(self.profile.as_deref_mut(), StepPhase::FlipsReset);
 
-        let settle_started = self.profile.is_some().then(Instant::now);
         self.settle()?;
-        if let (Some(profile), Some(started)) = (self.profile.as_mut(), settle_started) {
-            profile.settle_nanos += started.elapsed().as_nanos() as u64;
-        }
+        lap(self.profile.as_deref_mut(), StepPhase::Settle);
 
         self.changed_scratch.clear();
         self.sram_scratch.clear();
-        let commit_started = self.profile.is_some().then(Instant::now);
-        let effects =
-            self.model
-                .commit_edge(&mut self.changed_scratch, &mut self.sram_scratch, None)?;
-        if let (Some(profile), Some(started)) = (self.profile.as_mut(), commit_started) {
-            profile.commit_nanos += started.elapsed().as_nanos() as u64;
-            profile.cycles += 1;
-        }
+        let profile = &mut self.profile;
+        let effects = self.model.commit_edge(
+            &mut self.changed_scratch,
+            &mut self.sram_scratch,
+            None,
+            |phase| lap(profile.as_deref_mut(), phase),
+        )?;
 
         self.cycles += 1;
 
@@ -384,12 +374,18 @@ impl CycleSim {
         let start_evals = self.comb_evals;
         let outcome = loop {
             if self.cycles - start_cycles >= max_cycles {
-                break CycleOutcome::CycleLimit;
+                break Ok(CycleOutcome::CycleLimit);
             }
-            if let Some(outcome) = self.step()? {
-                break outcome;
+            match self.step() {
+                Ok(None) => {}
+                Ok(Some(outcome)) => break Ok(outcome),
+                Err(e) => break Err(e),
             }
         };
+        if let Some(p) = self.profile.as_mut() {
+            p.stop();
+        }
+        let outcome = outcome?;
         Ok(CycleSummary {
             outcome,
             cycles: self.cycles - start_cycles,

@@ -23,12 +23,22 @@
 //! After the settle pass, registers, memories, and FSMs commit in the single
 //! sample phase shared with the sweep engine ([`FlatModel::commit_edge`]),
 //! and every slot the commit changed (plus the read path of every written
-//! SRAM) re-seeds the dirty set for the next cycle.
+//! SRAM) re-seeds the dirty set for the next cycle. The commit is sparse on
+//! both sides: only registers whose inputs changed are resampled, and a
+//! control unit rewrites only the Moore outputs its old or new state lists,
+//! and none while it holds its state (see [`crate::simmodel`]). A cycle
+//! that applies a transient flip asks the next edge for a full re-drive,
+//! which reverts a flipped FSM output.
+//!
+//! [`LevelSim::enable_profile`] times every step in [`StepPhase`]s (flips
+//! and reset, settle, register sample, SRAM, FSM, register commit and
+//! watch, re-mark) on top of the per-rank settle counters.
 
 use crate::cyclesim::{CycleOutcome, CycleSimError, CycleSummary};
 use crate::memory::MemHandle;
 use crate::netlist::Netlist;
 use crate::ops::FsmTable;
+use crate::profile::{lap, PhaseTimes, StepPhase};
 use crate::simmodel::{eval_comb, FlatModel};
 use crate::value::Value;
 use std::collections::HashMap;
@@ -81,16 +91,18 @@ pub struct LevelSim {
     comb_evals: u64,
     changed_scratch: Vec<usize>,
     sram_scratch: Vec<usize>,
-    /// Opt-in per-rank settle profiling. `None` (the default) keeps the
-    /// hot settle loop untouched: the only cost is one `is_some` branch
-    /// per settle call.
+    /// Opt-in step-phase and per-rank settle profiling. `None` (the
+    /// default) keeps the hot loops untouched: the only cost is one
+    /// `is_some` branch per phase boundary.
     profile: Option<Box<LevelProfile>>,
 }
 
-/// Per-rank settle timing and dirty-bitset effectiveness, collected
-/// when [`LevelSim::enable_profile`] was called.
+/// Step-phase timing, per-rank settle timing and dirty-bitset
+/// effectiveness, collected when [`LevelSim::enable_profile`] was called.
 #[derive(Debug, Clone, Default)]
 pub struct LevelProfile {
+    /// Time per step phase; the phases tile every step.
+    pub phases: PhaseTimes,
     /// Settle passes executed (one per clock cycle, plus the initial
     /// full evaluation).
     pub settles: u64,
@@ -477,8 +489,8 @@ impl LevelSim {
         }
     }
 
-    /// Turns on per-rank settle profiling. Profiling only observes:
-    /// cycle and evaluation counters, values, and outcomes are
+    /// Turns on step-phase and per-rank settle profiling. Profiling only
+    /// observes: cycle and evaluation counters, values, and outcomes are
     /// bit-identical with it on or off.
     pub fn enable_profile(&mut self) {
         let mut rank_sizes = vec![0u64; self.rank_count];
@@ -486,6 +498,7 @@ impl LevelSim {
             rank_sizes[self.ranks[comb as usize] as usize] += 1;
         }
         self.profile = Some(Box::new(LevelProfile {
+            phases: PhaseTimes::default(),
             settles: 0,
             rank_sizes,
             ranks: vec![RankProfile::default(); self.rank_count],
@@ -534,6 +547,12 @@ impl LevelSim {
         if self.profile.is_some() {
             self.enable_profile();
         }
+    }
+
+    /// Charges a step-phase boundary when profiling is on.
+    #[inline]
+    fn lap(&mut self, phase: StepPhase) {
+        lap(self.profile.as_deref_mut().map(|p| &mut p.phases), phase);
     }
 
     /// One ascending pass over the dirty bitset. Evaluating a position can
@@ -629,12 +648,16 @@ impl LevelSim {
     ///
     /// Propagates design failures ([`CycleSimError::Failed`]).
     pub fn step(&mut self) -> Result<Option<CycleOutcome>, CycleSimError> {
+        if let Some(profile) = self.profile.as_mut() {
+            profile.phases.begin();
+        }
         // Transient fault flips scheduled for this cycle apply before
         // the reset drive and the settle, with the cycle sweeper's
         // timing. Re-dirtying the producer position makes the settle
         // erase comb-driven flips (the sweeper's fixpoint does this
         // implicitly); re-dirtying the readers propagates surviving
-        // flips on sequential outputs.
+        // flips on sequential outputs, and the next edge re-drives every
+        // FSM output so a flipped one reverts.
         if !self.model.fault_flips.is_empty() {
             for i in 0..self.model.fault_flips.len() {
                 let (cycle, slot, mask) = self.model.fault_flips[i];
@@ -648,6 +671,7 @@ impl LevelSim {
                             self.mark_pos(producer as usize);
                         }
                         self.mark_slot(slot);
+                        self.model.fsm_full_drive = true;
                     }
                 }
             }
@@ -663,15 +687,19 @@ impl LevelSim {
                 self.mark_slot(y);
             }
         }
+        self.lap(StepPhase::FlipsReset);
 
         self.settle()?;
+        self.lap(StepPhase::Settle);
 
         self.changed_scratch.clear();
         self.sram_scratch.clear();
+        let profile = &mut self.profile;
         let effects = self.model.commit_edge(
             &mut self.changed_scratch,
             &mut self.sram_scratch,
             Some(&mut self.reg_dirty),
+            |phase| lap(profile.as_deref_mut().map(|p| &mut p.phases), phase),
         )?;
 
         // Everything the edge changed re-seeds the dirty set.
@@ -687,6 +715,7 @@ impl LevelSim {
         self.sram_scratch = written;
 
         self.cycles += 1;
+        self.lap(StepPhase::Remark);
 
         if let Some(name) = effects.watch {
             return Ok(Some(CycleOutcome::Watchpoint(name)));
@@ -708,12 +737,18 @@ impl LevelSim {
         let start_evals = self.comb_evals;
         let outcome = loop {
             if self.cycles - start_cycles >= max_cycles {
-                break CycleOutcome::CycleLimit;
+                break Ok(CycleOutcome::CycleLimit);
             }
-            if let Some(outcome) = self.step()? {
-                break outcome;
+            match self.step() {
+                Ok(None) => {}
+                Ok(Some(outcome)) => break Ok(outcome),
+                Err(e) => break Err(e),
             }
         };
+        if let Some(p) = self.profile.as_mut() {
+            p.phases.stop();
+        }
+        let outcome = outcome?;
         Ok(CycleSummary {
             outcome,
             cycles: self.cycles - start_cycles,

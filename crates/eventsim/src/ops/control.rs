@@ -159,6 +159,23 @@ impl FsmTable {
     pub fn output_count(&self) -> usize {
         self.output_count
     }
+
+    /// Dense Moore-output rows: `rows[state][output]` is the value the
+    /// state drives on that output, 0 when the state does not list it.
+    /// When a state lists an output twice, the first value wins.
+    pub fn output_rows(&self) -> Vec<Vec<i64>> {
+        self.states
+            .iter()
+            .map(|state| {
+                let mut row = vec![0; self.output_count];
+                // Reverse order, so the first listing is written last.
+                for &(out, value) in state.outputs.iter().rev() {
+                    row[out] = value;
+                }
+                row
+            })
+            .collect()
+    }
 }
 
 /// Execution coverage accumulated by a [`ControlUnit`] over one run.
@@ -226,6 +243,10 @@ pub struct ControlUnit {
     /// updates for outputs that actually change (control vectors are wide
     /// but sparse).
     driven: Vec<Option<i64>>,
+    /// Dense Moore-output rows, `state_values[state][output]` (see
+    /// [`FsmTable::output_rows`]), so a drive reads one row instead of
+    /// searching the state's output list per output.
+    state_values: Vec<Vec<i64>>,
     coverage: Option<FsmCoverageHandle>,
 }
 
@@ -264,6 +285,7 @@ impl ControlUnit {
             "output width count mismatch"
         );
         let driven = vec![None; outputs.len()];
+        let state_values = table.output_rows();
         ControlUnit {
             name: name.into(),
             clk,
@@ -275,6 +297,7 @@ impl ControlUnit {
             stop_when_done: true,
             cycles: 0,
             driven,
+            state_values,
             coverage: None,
         }
     }
@@ -321,14 +344,8 @@ impl ControlUnit {
     }
 
     fn drive_outputs(&mut self, ctx: &mut Context<'_>) {
-        let state = &self.table.states()[self.state];
-        for (i, &signal) in self.outputs.iter().enumerate() {
-            let value = state
-                .outputs
-                .iter()
-                .find(|(out, _)| *out == i)
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
+        let row = &self.state_values[self.state];
+        for (i, (&signal, &value)) in self.outputs.iter().zip(row).enumerate() {
             if self.driven[i] != Some(value) {
                 self.driven[i] = Some(value);
                 ctx.set(signal, Value::known(self.output_widths[i], value));

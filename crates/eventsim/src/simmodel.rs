@@ -12,11 +12,22 @@
 //! cycle (repeated sweeps vs. a levelized single pass); the model itself —
 //! construction, combinational evaluation, and the rising-edge sample/commit
 //! phase — lives here so the two engines cannot drift apart semantically.
+//!
+//! The edge commit is sparse where it matters most: a control unit's
+//! Moore outputs (often well over a hundred control lines) are rewritten
+//! only on a state change, and then only the outputs the old or the new
+//! state lists — every other output drives 0 in both states. This relies
+//! on the invariant that each FSM output slot holds the clamped value of
+//! its current state; the edge checks it in debug builds. Only a transient
+//! flip breaks it, so a cycle that applied a flip sets
+//! [`FlatModel::fsm_full_drive`] and the next edge re-drives every output,
+//! as registration and [`FlatModel::reset_state`] do.
 
 use crate::cyclesim::CycleSimError;
 use crate::memory::MemHandle;
 use crate::netlist::{Instance, Netlist};
 use crate::ops::{eval_binop, eval_unop, FsmTable, OpKind};
+use crate::profile::StepPhase;
 use crate::value::Value;
 use std::collections::HashMap;
 
@@ -111,8 +122,7 @@ pub(crate) struct FsmModel {
     pub outputs: Vec<usize>,
     /// Dense Moore-output values per state: `state_values[state][i]` is
     /// what output `i` drives there (0 when the state leaves it
-    /// unlisted). Precomputed so the per-cycle drive is a flat compare
-    /// loop instead of a per-output search of the state's output list.
+    /// unlisted), from [`FsmTable::output_rows`].
     pub state_values: Vec<Vec<Value>>,
     pub state: usize,
 }
@@ -152,6 +162,10 @@ pub(crate) struct FlatModel {
     /// by the sweep engine at the start of the matching cycle. Empty when
     /// no transient faults are injected.
     pub fault_flips: Vec<(u64, usize, u64)>,
+    /// Set by an engine that applied a transient flip this cycle: the
+    /// flip may have hit an FSM output, so the next edge re-drives every
+    /// Moore output instead of only those a transition can change.
+    pub fsm_full_drive: bool,
     /// Reused by [`FlatModel::commit_edge`] for the sampled
     /// `(register index, next value)` pairs, so the per-cycle hot path
     /// never allocates.
@@ -183,6 +197,7 @@ impl FlatModel {
             reset_signals: Vec::new(),
             fault_clamps: Vec::new(),
             fault_flips: Vec::new(),
+            fsm_full_drive: false,
             reg_next: Vec::new(),
             initial_values: Vec::new(),
         };
@@ -221,12 +236,14 @@ impl FlatModel {
         }
         self.fault_clamps.clear();
         self.fault_flips.clear();
+        self.fsm_full_drive = false;
         self.reg_next.clear();
         let mut scratch = Vec::new();
         for fsm in &mut self.fsms {
             fsm.state = 0;
             scratch.clear();
-            drive_fsm_outputs(fsm, &mut self.values, &self.fault_clamps, &mut scratch);
+            let all = 0..fsm.outputs.len();
+            drive_fsm_outputs(fsm, all, &mut self.values, &self.fault_clamps, &mut scratch);
         }
     }
 
@@ -419,19 +436,12 @@ impl FlatModel {
             out_widths.push(*w);
         }
         let state_values = table
-            .states()
-            .iter()
-            .map(|state| {
-                (0..out_ids.len())
-                    .map(|i| {
-                        let value = state
-                            .outputs
-                            .iter()
-                            .find(|(out, _)| *out == i)
-                            .map(|(_, v)| *v)
-                            .unwrap_or(0);
-                        Value::known(out_widths[i], value)
-                    })
+            .output_rows()
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .zip(&out_widths)
+                    .map(|(value, &width)| Value::known(width, value))
                     .collect()
             })
             .collect();
@@ -444,7 +454,8 @@ impl FlatModel {
             state: 0,
         };
         let mut scratch = Vec::new();
-        drive_fsm_outputs(&fsm, &mut self.values, &self.fault_clamps, &mut scratch);
+        let all = 0..fsm.outputs.len();
+        drive_fsm_outputs(&fsm, all, &mut self.values, &self.fault_clamps, &mut scratch);
         self.fsms.push(fsm);
         Ok(())
     }
@@ -464,6 +475,10 @@ impl FlatModel {
     /// SRAM writes commit, FSMs transition and drive their Moore outputs,
     /// and finally register outputs commit (non-blocking semantics).
     ///
+    /// An FSM that holds its state writes nothing; one that moves rewrites
+    /// only the outputs its old or new state lists (see the module docs),
+    /// unless [`FlatModel::fsm_full_drive`] asks for a full re-drive.
+    ///
     /// Every slot whose value actually changed is appended to `changed`, and
     /// the index (into `self.srams`) of every memory that committed a write
     /// is appended to `written_srams` — the level engine uses both to mark
@@ -475,11 +490,16 @@ impl FlatModel {
     /// same value and commit nothing, so skipping it is unobservable — the
     /// level engine maintains that dirty set; the sweep engine passes
     /// `None` and samples everything.
+    ///
+    /// `lap` is called at the end of each edge phase (register sample,
+    /// SRAM, FSM, register commit and watch), so a profiling engine can
+    /// charge the time to it; the unprofiled engines pass a no-op.
     pub(crate) fn commit_edge(
         &mut self,
         changed: &mut Vec<usize>,
         written_srams: &mut Vec<usize>,
         reg_filter: Option<&mut Vec<u64>>,
+        mut lap: impl FnMut(StepPhase),
     ) -> Result<EdgeEffects, CycleSimError> {
         let mut reg_next = std::mem::take(&mut self.reg_next);
         reg_next.clear();
@@ -504,6 +524,7 @@ impl FlatModel {
                 }
             }
         }
+        lap(StepPhase::RegSample);
 
         for (index, sram) in self.srams.iter().enumerate() {
             if self.values[sram.en].is_true() && self.values[sram.we].is_true() {
@@ -525,7 +546,9 @@ impl FlatModel {
                 written_srams.push(index);
             }
         }
+        lap(StepPhase::Sram);
 
+        let full_drive = std::mem::take(&mut self.fsm_full_drive);
         let mut done = false;
         for i in 0..self.fsms.len() {
             let (next_state, failed) = {
@@ -564,14 +587,22 @@ impl FlatModel {
             if let Some(message) = failed {
                 return Err(CycleSimError::Failed(message));
             }
-            self.fsms[i].state = next_state;
+            let prev_state = std::mem::replace(&mut self.fsms[i].state, next_state);
             let fsm = &self.fsms[i];
-            let values = &mut self.values;
-            drive_fsm_outputs(fsm, values, &self.fault_clamps, changed);
-            if fsm.table.states()[next_state].terminal {
+            let states = fsm.table.states();
+            let (values, clamps) = (&mut self.values, &self.fault_clamps);
+            if full_drive {
+                drive_fsm_outputs(fsm, 0..fsm.outputs.len(), values, clamps, changed);
+            } else if next_state != prev_state {
+                let listed = states[prev_state].outputs.iter().chain(&states[next_state].outputs);
+                drive_fsm_outputs(fsm, listed.map(|&(i, _)| i), values, clamps, changed);
+            }
+            if states[next_state].terminal {
                 done = true;
             }
         }
+        debug_assert!(self.fsm_outputs_hold_state(), "an FSM output slot lost its Moore value");
+        lap(StepPhase::Fsm);
 
         for &(index, v) in &reg_next {
             let q = self.regs[index].q;
@@ -586,7 +617,22 @@ impl FlatModel {
         let watch = self.watches.iter().find_map(|watch| {
             (self.values[watch.sig].try_i64() == Some(watch.value)).then(|| watch.name.clone())
         });
+        lap(StepPhase::RegCommitWatch);
         Ok(EdgeEffects { done, watch })
+    }
+
+    /// Whether every FSM output slot holds the clamped Moore value of its
+    /// control unit's current state — the invariant the sparse drive in
+    /// [`FlatModel::commit_edge`] relies on.
+    fn fsm_outputs_hold_state(&self) -> bool {
+        self.fsms.iter().all(|fsm| {
+            fsm.outputs
+                .iter()
+                .zip(&fsm.state_values[fsm.state])
+                .all(|(&slot, &value)| {
+                    self.values[slot] == clamp_with(&self.fault_clamps, slot, value)
+                })
+        })
     }
 
     /// Registers a stuck-at fault on one bit of a named signal. Returns
@@ -711,17 +757,20 @@ pub(crate) fn clamp_with(clamps: &[(u64, u64)], slot: usize, value: Value) -> Va
     }
 }
 
-/// Drives the Moore outputs of `fsm`'s current state, appending every slot
-/// whose value actually changed to `changed`. Output values pass through
-/// the stuck-at `clamps` table (empty when no faults are injected).
-pub(crate) fn drive_fsm_outputs(
+/// Drives the listed Moore outputs (`outputs` are output indices, repeats
+/// allowed) of `fsm`'s current state, appending every slot whose value
+/// actually changed to `changed`. Output values pass through the stuck-at
+/// `clamps` table (empty when no faults are injected).
+fn drive_fsm_outputs(
     fsm: &FsmModel,
+    outputs: impl Iterator<Item = usize>,
     values: &mut [Value],
     clamps: &[(u64, u64)],
     changed: &mut Vec<usize>,
 ) {
     let state_values = &fsm.state_values[fsm.state];
-    for (&signal, &value) in fsm.outputs.iter().zip(state_values) {
+    for i in outputs {
+        let (signal, value) = (fsm.outputs[i], state_values[i]);
         let value = clamp_with(clamps, signal, value);
         if values[signal] != value {
             values[signal] = value;

@@ -225,3 +225,59 @@ fn library_report_agrees_with_flow_results() {
         _ => unreachable!(),
     }
 }
+
+/// Every compiled engine's step phases tile its simulate span: on a
+/// small FDCT the phase times sum to at least 95% of the
+/// `flow.simulate.<config>` span (and never exceed it), and profiling
+/// leaves cycles and evaluation counts bit-identical.
+#[test]
+fn compiled_engine_phases_cover_the_simulate_span() {
+    use fpgatest::flow::{Engine, FlowOptions};
+    use fpgatest::workloads;
+    use nenya::CompileOptions;
+
+    const PIXELS: usize = 64;
+    for engine in [Engine::Cycle, Engine::Level, Engine::Batch] {
+        let flow = |profile: bool| {
+            TestFlow::new("fdct1", workloads::fdct_source(PIXELS))
+                .with_options(FlowOptions {
+                    compile: CompileOptions {
+                        width: 32,
+                        ..CompileOptions::default()
+                    },
+                    engine,
+                    profile,
+                    ..FlowOptions::default()
+                })
+                .stimulus("img", Stimulus::from_values(workloads::test_image(PIXELS)))
+        };
+        let plain = flow(false).run().expect("plain flow runs");
+        let mut recorder = Recorder::new();
+        let profiled = flow(true).run_recorded(&mut recorder).expect("profiled flow runs");
+        assert!(plain.passed && profiled.passed, "{engine}: FDCT passes");
+        assert_eq!(plain.runs.len(), profiled.runs.len());
+        for (p, q) in plain.runs.iter().zip(&profiled.runs) {
+            assert_eq!(p.cycles, q.cycles, "{engine}: profiling changed cycles");
+            assert_eq!(p.kernel, q.kernel, "{engine}: profiling changed counters");
+            let profile = q.profile.as_ref().expect("profile collected");
+            assert_eq!(profile.engine, engine);
+            let phases: Vec<&str> = profile.phases.iter().map(|ph| ph.phase.as_str()).collect();
+            assert!(
+                phases.starts_with(&["flips_reset", "settle", "reg_sample", "sram", "fsm"]),
+                "{engine}: phases {phases:?}"
+            );
+            let phase_seconds =
+                profile.phases.iter().map(|ph| ph.nanos).sum::<u64>() as f64 / 1e9;
+            let span = recorder
+                .find(&format!("flow.simulate.{}", q.name))
+                .expect("simulate span recorded");
+            let covered = phase_seconds / span.wall_seconds;
+            assert!(
+                (0.95..=1.0).contains(&covered),
+                "{engine}: phases cover {:.1}% of the {:.3} ms simulate span",
+                covered * 100.0,
+                span.wall_seconds * 1e3
+            );
+        }
+    }
+}
