@@ -31,7 +31,7 @@ fn prepare(pixels: usize) -> Prepared {
     .expect("fdct compiles");
     let config = &design.configs[0];
     let dp_doc = nenya::xml::emit_datapath(&config.datapath);
-    let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
+    let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
         .expect("stylesheet applies");
     Prepared {
         netlist: eventsim::hds::parse(&hds).expect("hds parses"),

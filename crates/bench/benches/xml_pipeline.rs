@@ -20,6 +20,8 @@ fn xml_pipeline(c: &mut Criterion) {
     .expect("fdct compiles");
     let dp_doc = nenya::xml::emit_datapath(&design.configs[0].datapath);
     let dp_text = dp_doc.to_pretty_string();
+    // The stock sheet is parsed once per process; the timed loops below
+    // apply it. `parse_stock_stylesheet` times the parse itself.
     let hds_sheet = xform::stylesheets::datapath_to_hds();
 
     let mut group = c.benchmark_group("xml_pipeline");
@@ -31,11 +33,18 @@ fn xml_pipeline(c: &mut Criterion) {
     group.bench_function("emit_datapath_xml", |b| {
         b.iter(|| black_box(dp_doc.to_pretty_string()));
     });
+    group.bench_function("parse_stock_stylesheet", |b| {
+        b.iter(|| {
+            black_box(
+                xform::parse_stylesheet(xform::stylesheets::DATAPATH_TO_HDS_SRC).expect("parses"),
+            )
+        });
+    });
     group.bench_function("stylesheet_to_hds", |b| {
-        b.iter(|| black_box(xform::apply(&hds_sheet, dp_doc.root()).expect("applies")));
+        b.iter(|| black_box(xform::apply(hds_sheet, dp_doc.root()).expect("applies")));
     });
     group.bench_function("hds_parse", |b| {
-        let hds = xform::apply(&hds_sheet, dp_doc.root()).expect("applies");
+        let hds = xform::apply(hds_sheet, dp_doc.root()).expect("applies");
         b.iter(|| black_box(eventsim::hds::parse(&hds).expect("parses")));
     });
     group.bench_function("compile_fdct_64px", |b| {
@@ -45,6 +54,11 @@ fn xml_pipeline(c: &mut Criterion) {
             ..CompileOptions::default()
         };
         b.iter(|| black_box(compile("fdct1", &src, &options).expect("compiles")));
+    });
+    group.bench_function("prepare_design_fdct_64px", |b| {
+        // The whole transform stage: XML emission, every stock
+        // stylesheet, the .hds and FSM parses, and the artifacts.
+        b.iter(|| black_box(fpgatest::flow::prepare_design(design.clone()).expect("prepares")));
     });
 
     group.finish();

@@ -1521,9 +1521,9 @@ fn cmd_compile(args: &[String]) -> ExitCode {
     for config in &design.configs {
         let dp_doc = nenya::xml::emit_datapath(&config.datapath);
         let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
-        let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
+        let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
             .unwrap_or_default();
-        let behavior = xform::apply(&xform::stylesheets::fsm_to_behavior(), fsm_doc.root())
+        let behavior = xform::apply(xform::stylesheets::fsm_to_behavior(), fsm_doc.root())
             .unwrap_or_default();
         files.push((format!("{}_datapath.xml", config.name), dp_doc.to_pretty_string()));
         files.push((format!("{}_fsm.xml", config.name), fsm_doc.to_pretty_string()));

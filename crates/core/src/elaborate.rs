@@ -6,8 +6,14 @@
 //! The FSM XML is converted into a behavioral control table executed by
 //! an [`eventsim::ops::ControlUnit`] — the behavioral path (the paper's
 //! generated Java).
+//!
+//! Both paths end in one body, `elaborate_parsed`, which builds the
+//! simulator from the parse products (netlist, control table, clock
+//! name). [`elaborate_config`] runs the stylesheet and the parsers and
+//! then calls it; the test flow calls it directly with the products it
+//! parsed once when it prepared the design.
 
-use eventsim::netlist::ElabMap;
+use eventsim::netlist::{ElabMap, Netlist};
 use eventsim::ops::{ControlUnit, FsmCoverageHandle, FsmState, FsmTable, FsmTransition};
 use eventsim::{MemHandle, SignalId, Simulator};
 use nenya::fsm::Fsm;
@@ -59,14 +65,13 @@ pub struct ConfigSim {
     pub clk: SignalId,
     /// The clock period in ticks (fixed by the datapath generator).
     pub clock_period: u64,
-    /// The intermediate `.hds` text (kept as a test artifact).
-    pub hds_text: String,
     /// FSM state names in control-table order (state 0 is initial).
     pub state_names: Vec<String>,
     /// Total number of transitions declared in the control table.
     pub transition_total: usize,
     /// Live coverage handle for the control unit, present when the
-    /// configuration was elaborated with [`elaborate_config_instrumented`].
+    /// configuration was elaborated with [`elaborate_config_instrumented`]
+    /// (or the test flow ran with coverage on).
     pub fsm_coverage: Option<FsmCoverageHandle>,
 }
 
@@ -119,36 +124,74 @@ fn elaborate_config_impl(
     stop_when_done: bool,
     coverage: Option<FsmCoverageHandle>,
 ) -> Result<ConfigSim, ElaborateConfigError> {
-    // Structural path: datapath.xml → .hds → netlist → simulator.
-    let sheet = xform::stylesheets::datapath_to_hds();
-    let hds_text = xform::apply(&sheet, dp_doc.root())
+    // Structural path: datapath.xml → .hds → netlist.
+    let hds_text = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
         .map_err(|e| ElaborateConfigError::Stylesheet(e.to_string()))?;
     let netlist =
         eventsim::hds::parse(&hds_text).map_err(|e| ElaborateConfigError::Hds(e.to_string()))?;
+    // Behavioral path: fsm.xml → control table.
+    let fsm =
+        nenya::xml::parse_fsm(fsm_doc).map_err(|e| ElaborateConfigError::Dialect(e.to_string()))?;
+    let control = ControlTable::from_fsm(&fsm)?;
+    let clock = datapath_clock(dp_doc)?;
+    elaborate_parsed(&netlist, &control, clock, stop_when_done, coverage)
+}
+
+/// The clock signal a datapath document names in its `clock` attribute.
+///
+/// # Errors
+///
+/// Returns [`ElaborateConfigError::Dialect`] when the attribute is
+/// missing.
+pub(crate) fn datapath_clock(dp_doc: &Document) -> Result<&str, ElaborateConfigError> {
+    dp_doc
+        .root()
+        .attr("clock")
+        .ok_or_else(|| ElaborateConfigError::Dialect("datapath lacks clock attribute".into()))
+}
+
+/// Elaborates one configuration from its parse products: the `.hds`
+/// netlist, the control table and the clock signal's name. This is the
+/// one elaboration body: [`elaborate_config`] and its variants parse
+/// their XML and call it, and the test flow calls it with the products
+/// it parsed once per design. The netlist's components are registered
+/// first, then the control unit; kernel counters depend on that order.
+/// Pass a coverage handle to instrument the control unit (see
+/// [`elaborate_config_instrumented`]).
+///
+/// # Errors
+///
+/// Returns [`ElaborateConfigError::Netlist`] when the netlist does not
+/// elaborate and [`ElaborateConfigError::Fsm`] when the clock, `done` or
+/// a control signal is missing from it.
+pub(crate) fn elaborate_parsed(
+    netlist: &Netlist,
+    control: &ControlTable,
+    clock: &str,
+    stop_when_done: bool,
+    coverage: Option<FsmCoverageHandle>,
+) -> Result<ConfigSim, ElaborateConfigError> {
     let mut sim = Simulator::new();
     let map = netlist
         .elaborate(&mut sim)
         .map_err(|e| ElaborateConfigError::Netlist(e.to_string()))?;
-
-    // Behavioral path: fsm.xml → control table → ControlUnit.
-    let fsm = nenya::xml::parse_fsm(fsm_doc)
-        .map_err(|e| ElaborateConfigError::Dialect(e.to_string()))?;
-    let clock_name = dp_doc
-        .root()
-        .attr("clock")
-        .ok_or_else(|| ElaborateConfigError::Dialect("datapath lacks clock attribute".into()))?;
-    let clk = lookup(&map, clock_name)?;
+    let clk = lookup(&map, clock)?;
     let done = lookup(&map, "done")?;
-    let (state_names, transition_total) =
-        attach_control_unit_cov(&mut sim, &map, &fsm, clk, stop_when_done, coverage.clone())?;
+    let (state_names, transition_total) = attach_control_table(
+        &mut sim,
+        &map,
+        control,
+        clk,
+        stop_when_done,
+        coverage.clone(),
+    )?;
 
     Ok(ConfigSim {
         sim,
-        mems: map.mems.clone(),
+        mems: map.mems,
         done,
         clk,
         clock_period: 10,
-        hds_text,
         state_names,
         transition_total,
         fsm_coverage: coverage,
@@ -297,32 +340,78 @@ pub fn attach_control_unit_cov(
     stop_when_done: bool,
     coverage: Option<FsmCoverageHandle>,
 ) -> Result<(Vec<String>, usize), ElaborateConfigError> {
-    let (table, condition_names, output_names) = fsm_to_table(fsm)?;
+    let control = ControlTable::from_fsm(fsm)?;
+    attach_control_table(sim, map, &control, clk, stop_when_done, coverage)
+}
+
+/// A control unit converted to its index-based table once, with the
+/// signal names it binds: what every engine's control unit is built from.
+pub(crate) struct ControlTable {
+    /// The FSM's name (the control unit's component name).
+    pub(crate) name: String,
+    /// The transition table, initial state first.
+    pub(crate) table: FsmTable,
+    /// Condition signal names in table order.
+    pub(crate) conditions: Vec<String>,
+    /// `(output signal name, width)` pairs in table order.
+    pub(crate) outputs: Vec<(String, u32)>,
+}
+
+impl ControlTable {
+    /// Converts `fsm` with [`fsm_to_table`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`fsm_to_table`].
+    pub(crate) fn from_fsm(fsm: &Fsm) -> Result<Self, ElaborateConfigError> {
+        let (table, conditions, outputs) = fsm_to_table(fsm)?;
+        Ok(ControlTable {
+            name: fsm.name.clone(),
+            table,
+            conditions,
+            outputs,
+        })
+    }
+}
+
+/// Binds `control`'s signals in `map` and registers its [`ControlUnit`];
+/// returns the state names in table order and the transition count.
+fn attach_control_table(
+    sim: &mut Simulator,
+    map: &ElabMap,
+    control: &ControlTable,
+    clk: SignalId,
+    stop_when_done: bool,
+    coverage: Option<FsmCoverageHandle>,
+) -> Result<(Vec<String>, usize), ElaborateConfigError> {
+    let table = &control.table;
     let state_names: Vec<String> = table.states().iter().map(|s| s.name.clone()).collect();
     let transition_total: usize = table.states().iter().map(|s| s.transitions.len()).sum();
-    let mut conditions = Vec::with_capacity(condition_names.len());
-    for name in &condition_names {
-        conditions.push(lookup_signal(map, name)?);
+    let mut conditions = Vec::with_capacity(control.conditions.len());
+    for name in &control.conditions {
+        conditions.push(lookup(map, name)?);
     }
-    let mut outputs = Vec::with_capacity(output_names.len());
-    let mut widths = Vec::with_capacity(output_names.len());
-    for (name, width) in &output_names {
-        outputs.push(lookup_signal(map, name)?);
+    let mut outputs = Vec::with_capacity(control.outputs.len());
+    let mut widths = Vec::with_capacity(control.outputs.len());
+    for (name, width) in &control.outputs {
+        outputs.push(lookup(map, name)?);
         widths.push(*width);
     }
 
-    let mut unit = ControlUnit::new(fsm.name.clone(), clk, conditions, outputs, widths, table)
-        .with_stop_when_done(stop_when_done);
+    let mut unit = ControlUnit::new(
+        control.name.clone(),
+        clk,
+        conditions,
+        outputs,
+        widths,
+        table.clone(),
+    )
+    .with_stop_when_done(stop_when_done);
     if let Some(handle) = coverage {
         unit = unit.with_coverage(handle);
     }
     sim.add_component(unit);
     Ok((state_names, transition_total))
-}
-
-fn lookup_signal(map: &ElabMap, name: &str) -> Result<SignalId, ElaborateConfigError> {
-    map.signal(name)
-        .map_err(|e| ElaborateConfigError::Fsm(e.to_string()))
 }
 
 #[cfg(test)]
@@ -367,10 +456,17 @@ mod tests {
     }
 
     #[test]
-    fn hds_artifact_is_kept_and_parses() {
-        let cs = elaborate_source("mem out[4]; void main() { out[0] = 1; }");
-        assert!(cs.hds_text.contains("hds t"));
-        assert!(eventsim::hds::parse(&cs.hds_text).is_ok());
+    fn hds_stylesheet_output_parses() {
+        let design = compile(
+            "t",
+            "mem out[4]; void main() { out[0] = 1; }",
+            &CompileOptions::default(),
+        )
+        .unwrap();
+        let dp_doc = nenya::xml::emit_datapath(&design.configs[0].datapath);
+        let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root()).unwrap();
+        assert!(hds.contains("hds t"));
+        assert!(eventsim::hds::parse(&hds).is_ok());
     }
 
     #[test]

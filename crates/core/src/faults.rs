@@ -402,7 +402,7 @@ pub fn enumerate_sites(
     let cycle_span = clean_cycles.max(2);
     for config in &design.configs {
         let dp_doc = nenya::xml::emit_datapath(&config.datapath);
-        let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
+        let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
             .map_err(|e| format!("stylesheet: {e}"))?;
         let netlist = eventsim::hds::parse(&hds).map_err(|e| format!("hds: {e}"))?;
         for decl in netlist.signals() {

@@ -11,7 +11,7 @@
 //!    SRAM contents across reconfigurations,
 //! 6. compare final memory contents and produce a [`TestReport`].
 
-use crate::elaborate::{elaborate_config, elaborate_config_instrumented, ElaborateConfigError};
+use crate::elaborate::{datapath_clock, elaborate_parsed, ControlTable, ElaborateConfigError};
 use crate::events::{Event, EventSink};
 use crate::faults::FaultSpec;
 use crate::memcmp::{diff_images, render_mismatches, Mismatch};
@@ -21,7 +21,7 @@ use crate::telemetry::Recorder;
 use eventsim::batchsim::{BatchSim, LaneOutcome, LANES};
 use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError, CycleSummary};
 use eventsim::levelsim::LevelSim;
-use eventsim::ops::FsmTable;
+use eventsim::ops::{FsmCoverageHandle, FsmTable};
 use eventsim::{KernelStats, MemHandle, RunOutcome, SimError, SimTime};
 use nenya::datapath::FU_KINDS;
 use nenya::schedule::SchedulePolicy;
@@ -860,12 +860,20 @@ pub fn run_design_recorded(
     // the simulation stage consumes.
     let transform_span = recorder.start("flow.transform");
     let transform_event = span_event_start(&options.events, "flow.transform");
-    let parts = prepare_parts(design)?;
+    let (parts, artifacts) = prepare_parts(design)?;
     recorder.attr(transform_span, "configs", design.configs.len());
     recorder.end(transform_span);
     span_event_end(&options.events, "flow.transform", transform_event);
 
-    simulate_prepared(design, &parts, initial, golden, options, recorder)
+    simulate_prepared(
+        design,
+        &parts,
+        move || artifacts,
+        initial,
+        golden,
+        options,
+        recorder,
+    )
 }
 
 /// Rejects option combinations the flow cannot honour, and fires the
@@ -946,69 +954,67 @@ fn run_golden(
 }
 
 /// The transform-stage products of one design, precomputed once and
-/// reusable across runs: XML documents, stylesheet translations, parsed
-/// `.hds` netlists, and validated FSM tables. Everything here is plain
-/// data (no interior mutability), so a `PreparedParts` can be shared
-/// across threads.
+/// reusable across runs: parsed `.hds` netlists, validated control
+/// tables and the metrics template. Everything here is plain data (no
+/// interior mutability), so a `PreparedParts` can be shared across
+/// threads.
 struct PreparedParts {
-    rtg_doc: xmlite::Document,
-    /// `(config name, datapath.xml, fsm.xml)` in design order.
-    docs: Vec<(String, xmlite::Document, xmlite::Document)>,
-    config_artifacts: Vec<ConfigArtifacts>,
+    /// Per-configuration parse products in design order.
+    configs: Vec<PreparedConfig>,
     /// Metrics template with the per-run fields (cycles/events/seconds)
     /// zeroed.
     config_metrics: Vec<ConfigMetrics>,
-    /// Parsed `.hds` netlists, one per config (compiled-engine path).
-    netlists: Vec<eventsim::netlist::Netlist>,
-    /// Per-config control-unit description (compiled-engine path).
-    fsm_tables: Vec<PreparedFsm>,
 }
 
-/// One configuration's parsed control unit, ready to attach to a
-/// compiled engine.
-struct PreparedFsm {
+/// One configuration's parse products, which every engine builds from.
+struct PreparedConfig {
     name: String,
-    table: FsmTable,
-    conditions: Vec<String>,
-    /// `(output name, width)` pairs.
-    outputs: Vec<(String, u32)>,
+    /// The `.hds` netlist the `datapath→hds` stylesheet produced.
+    netlist: eventsim::netlist::Netlist,
+    /// The control unit parsed from `fsm.xml`.
+    control: ControlTable,
+    /// The clock signal `datapath.xml` names.
+    clock: String,
 }
 
-fn prepare_parts(design: &Design) -> Result<PreparedParts, FlowError> {
-    let rtg_doc = nenya::xml::emit_rtg(&design.rtg);
-    let mut config_artifacts = Vec::new();
-    let mut config_metrics = Vec::new();
-    let mut docs = Vec::new();
-    let mut netlists = Vec::new();
-    let mut fsm_tables = Vec::new();
+/// Runs the transform stage once: XML emission, the stylesheet
+/// translations, the `.hds` and FSM parses, and the textual artifacts,
+/// each XML document pretty-printed once (its `loXML` count comes from
+/// that text).
+fn prepare_parts(design: &Design) -> Result<(PreparedParts, Artifacts), FlowError> {
+    let stylesheet_err = |e: xform::ApplyError| {
+        FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string()))
+    };
+    let mut configs = Vec::with_capacity(design.configs.len());
+    let mut config_metrics = Vec::with_capacity(design.configs.len());
+    let mut config_artifacts = Vec::with_capacity(design.configs.len());
     for config in &design.configs {
         let dp_doc = nenya::xml::emit_datapath(&config.datapath);
         let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
-        let behavior =
-            xform::apply(&xform::stylesheets::fsm_to_behavior(), fsm_doc.root())
-                .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string())))?;
-        let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
-            .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string())))?;
-        let dp_dot = xform::apply(&xform::stylesheets::datapath_to_dot(), dp_doc.root())
-            .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string())))?;
-        let fsm_dot = xform::apply(&xform::stylesheets::fsm_to_dot(), fsm_doc.root())
-            .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string())))?;
+        let behavior = xform::apply(xform::stylesheets::fsm_to_behavior(), fsm_doc.root())
+            .map_err(stylesheet_err)?;
+        let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
+            .map_err(stylesheet_err)?;
+        let dp_dot = xform::apply(xform::stylesheets::datapath_to_dot(), dp_doc.root())
+            .map_err(stylesheet_err)?;
+        let fsm_dot = xform::apply(xform::stylesheets::fsm_to_dot(), fsm_doc.root())
+            .map_err(stylesheet_err)?;
         let netlist = eventsim::hds::parse(&hds)
             .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Hds(e.to_string())))?;
         let fsm = nenya::xml::parse_fsm(&fsm_doc)
             .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Dialect(e.to_string())))?;
-        let (table, cond_names, out_names) = crate::elaborate::fsm_to_table(&fsm)?;
-        netlists.push(netlist);
-        fsm_tables.push(PreparedFsm {
-            name: fsm.name.clone(),
-            table,
-            conditions: cond_names,
-            outputs: out_names,
+        configs.push(PreparedConfig {
+            name: config.name.clone(),
+            netlist,
+            control: ControlTable::from_fsm(&fsm)?,
+            clock: datapath_clock(&dp_doc)?.to_string(),
         });
+        let datapath_xml = dp_doc.to_pretty_string();
+        let fsm_xml = fsm_doc.to_pretty_string();
         config_metrics.push(ConfigMetrics {
             name: config.name.clone(),
-            lo_xml_fsm: xmlite::loc(&fsm_doc),
-            lo_xml_datapath: xmlite::loc(&dp_doc),
+            lo_xml_fsm: xmlite::loc_of_pretty(&fsm_xml),
+            lo_xml_datapath: xmlite::loc_of_pretty(&datapath_xml),
             lo_behav_fsm: behavior.lines().filter(|l| !l.trim().is_empty()).count(),
             operators: config.datapath.operator_count(),
             fsm_states: config.fsm.state_count(),
@@ -1018,23 +1024,29 @@ fn prepare_parts(design: &Design) -> Result<PreparedParts, FlowError> {
         });
         config_artifacts.push(ConfigArtifacts {
             name: config.name.clone(),
-            datapath_xml: dp_doc.to_pretty_string(),
-            fsm_xml: fsm_doc.to_pretty_string(),
+            datapath_xml,
+            fsm_xml,
             hds,
             behavior_src: behavior,
             datapath_dot: dp_dot,
             fsm_dot,
         });
-        docs.push((config.name.clone(), dp_doc, fsm_doc));
     }
-    Ok(PreparedParts {
-        rtg_doc,
-        docs,
-        config_artifacts,
-        config_metrics,
-        netlists,
-        fsm_tables,
-    })
+    let rtg_doc = nenya::xml::emit_rtg(&design.rtg);
+    let artifacts = Artifacts {
+        rtg_xml: rtg_doc.to_pretty_string(),
+        rtg_dot: xform::apply(xform::stylesheets::rtg_to_dot(), rtg_doc.root()).unwrap_or_default(),
+        controller_src: xform::apply(xform::stylesheets::rtg_to_controller(), rtg_doc.root())
+            .unwrap_or_default(),
+        configs: config_artifacts,
+    };
+    Ok((
+        PreparedParts {
+            configs,
+            config_metrics,
+        },
+        artifacts,
+    ))
 }
 
 /// A compiled design with its transform-stage products precomputed, so
@@ -1068,6 +1080,7 @@ fn prepare_parts(design: &Design) -> Result<PreparedParts, FlowError> {
 pub struct PreparedDesign {
     design: Design,
     parts: PreparedParts,
+    artifacts: Artifacts,
 }
 
 /// The golden software reference's products for one `(design, stimuli)`
@@ -1118,7 +1131,15 @@ impl PreparedDesign {
         preflight(options)?;
         let initial = initial_images(&self.design, stimuli)?;
         let golden = run_golden(&self.design, initial.clone(), options, recorder)?;
-        simulate_prepared(&self.design, &self.parts, initial, golden, options, recorder)
+        simulate_prepared(
+            &self.design,
+            &self.parts,
+            || self.artifacts.clone(),
+            initial,
+            golden,
+            options,
+            recorder,
+        )
     }
 
     /// Runs the golden software reference once for a fixed stimulus set
@@ -1164,6 +1185,7 @@ impl PreparedDesign {
         simulate_prepared(
             &self.design,
             &self.parts,
+            || self.artifacts.clone(),
             golden.initial.clone(),
             GoldenRun {
                 stats: golden.stats,
@@ -1311,11 +1333,14 @@ impl PreparedDesign {
                 .iter()
                 .position(|c| c.datapath.name == node.datapath)
                 .ok_or_else(|| FlowError::Rtg(format!("unknown datapath '{}'", node.datapath)))?;
-            let (config_name, _, _) = &parts.docs[config];
-            let netlist = &parts.netlists[config];
+            let PreparedConfig {
+                name: config_name,
+                netlist,
+                control: fsm,
+                ..
+            } = &parts.configs[config];
             let mut sim = BatchSim::from_netlist(netlist)
                 .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Netlist(e.to_string())))?;
-            let fsm = &parts.fsm_tables[config];
             let conds: Vec<&str> = fsm.conditions.iter().map(String::as_str).collect();
             let outs: Vec<(&str, u32)> =
                 fsm.outputs.iter().map(|(n, w)| (n.as_str(), *w)).collect();
@@ -1547,16 +1572,23 @@ pub struct BatchRunReport {
 /// Returns [`FlowError::Elaborate`] when a stylesheet or parser rejects
 /// the design's artifacts.
 pub fn prepare_design(design: Design) -> Result<PreparedDesign, FlowError> {
-    let parts = prepare_parts(&design)?;
-    Ok(PreparedDesign { design, parts })
+    let (parts, artifacts) = prepare_parts(&design)?;
+    Ok(PreparedDesign {
+        design,
+        parts,
+        artifacts,
+    })
 }
 
 /// The simulation + comparison stages, shared by [`run_design_recorded`]
-/// (which prepares parts inline) and [`PreparedDesign::run_recorded`]
-/// (which reuses cached parts).
+/// (which prepares parts inline and moves its artifacts into the report)
+/// and [`PreparedDesign::run_recorded`] (which reuses cached parts and
+/// clones its artifacts). `artifacts` is only called with
+/// `keep_artifacts` set.
 fn simulate_prepared(
     design: &Design,
     parts: &PreparedParts,
+    artifacts: impl FnOnce() -> Artifacts,
     initial: BTreeMap<String, MemImage>,
     golden: GoldenRun,
     options: &FlowOptions,
@@ -1603,7 +1635,8 @@ fn simulate_prepared(
             .iter()
             .position(|c| c.datapath.name == node.datapath)
             .ok_or_else(|| FlowError::Rtg(format!("unknown datapath '{}'", node.datapath)))?;
-        let (config_name, dp_doc, fsm_doc) = &parts.docs[config];
+        let prepared = &parts.configs[config];
+        let config_name = &prepared.name;
 
         if options.engine != Engine::Event {
             // Compiled (cycle/level) path: interpret the same .hds netlist
@@ -1613,10 +1646,10 @@ fn simulate_prepared(
             let elaborate_event = span_event_start(&options.events, "flow.elaborate");
             recorder.attr(elaborate_span, "config", config_name.as_str());
             recorder.attr(elaborate_span, "engine", options.engine.to_string());
-            let netlist = &parts.netlists[config];
+            let netlist = &prepared.netlist;
             let mut csim = CompiledSim::build(options.engine, netlist)
                 .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Netlist(e.to_string())))?;
-            let fsm = &parts.fsm_tables[config];
+            let fsm = &prepared.control;
             let conds: Vec<&str> = fsm.conditions.iter().map(String::as_str).collect();
             let outs: Vec<(&str, u32)> =
                 fsm.outputs.iter().map(|(n, w)| (n.as_str(), *w)).collect();
@@ -1763,11 +1796,13 @@ fn simulate_prepared(
         let elaborate_span = recorder.start("flow.elaborate");
         let elaborate_event = span_event_start(&options.events, "flow.elaborate");
         recorder.attr(elaborate_span, "config", config_name.as_str());
-        let mut cs = if options.coverage {
-            elaborate_config_instrumented(dp_doc, fsm_doc, true)?
-        } else {
-            elaborate_config(dp_doc, fsm_doc)?
-        };
+        let mut cs = elaborate_parsed(
+            &prepared.netlist,
+            &prepared.control,
+            &prepared.clock,
+            true,
+            options.coverage.then(FsmCoverageHandle::new),
+        )?;
         recorder.attr(elaborate_span, "signals", cs.sim.signal_count());
         recorder.attr(elaborate_span, "components", cs.sim.component_count());
         recorder.end(elaborate_span);
@@ -2057,17 +2092,7 @@ fn simulate_prepared(
             configs: config_metrics,
             golden_seconds: golden.seconds,
         },
-        artifacts: options.keep_artifacts.then(|| Artifacts {
-            rtg_xml: parts.rtg_doc.to_pretty_string(),
-            rtg_dot: xform::apply(&xform::stylesheets::rtg_to_dot(), parts.rtg_doc.root())
-                .unwrap_or_default(),
-            controller_src: xform::apply(
-                &xform::stylesheets::rtg_to_controller(),
-                parts.rtg_doc.root(),
-            )
-            .unwrap_or_default(),
-            configs: parts.config_artifacts.clone(),
-        }),
+        artifacts: options.keep_artifacts.then(artifacts),
         sim_mems,
         golden_mems: golden.mems,
         fault_skips,

@@ -101,7 +101,7 @@ fn rank_tables(case: &Case) -> Vec<Vec<eventsim::levelsim::RankEntry>> {
         .iter()
         .map(|config| {
             let dp_doc = nenya::xml::emit_datapath(&config.datapath);
-            let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
+            let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
                 .expect("datapath stylesheet applies");
             let netlist = eventsim::hds::parse(&hds).expect("stylesheet output parses");
             let sim = netlist

@@ -2,9 +2,10 @@
 //! document.
 
 use crate::ast::{Action, Cond, EmitPiece, Stylesheet, ValueRef};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
-use xmlite::Element;
+use xmlite::{Element, Node};
 
 /// Error raised while applying a stylesheet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,59 +67,63 @@ fn walk<'a>(
         Some(rule) => run_actions(sheet, stack, &rule.body, position, out),
         None => {
             // Built-in rule: text content, then recurse into children.
-            let text = element.text();
-            if !text.is_empty() {
-                out.push_str(&text);
+            for text in element.children().iter().filter_map(Node::as_text) {
+                out.push_str(text);
             }
-            let children: Vec<&Element> = element.child_elements().collect();
-            let mut r = Ok(());
-            for (i, child) in children.iter().enumerate() {
-                r = walk(sheet, stack, child, i + 1, out);
-                if r.is_err() {
-                    break;
-                }
-            }
-            r
+            element
+                .child_elements()
+                .enumerate()
+                .try_for_each(|(i, child)| walk(sheet, stack, child, i + 1, out))
         }
     };
     stack.pop();
     result
 }
 
-fn context<'a>(
+/// The element `parents` hops above the current one; `reference` names
+/// the hop in the error and is only called when the hop fails.
+fn context<'a, R: FnOnce() -> String>(
     stack: &[&'a Element],
     parents: usize,
-    reference: &str,
+    reference: R,
 ) -> Result<&'a Element, ApplyError> {
     if parents >= stack.len() {
         return Err(ApplyError::ParentOfRoot {
-            reference: reference.to_string(),
+            reference: reference(),
         });
     }
     Ok(stack[stack.len() - 1 - parents])
 }
 
-fn resolve(
-    stack: &[&Element],
+/// A value reference's text: attribute values and names borrow from the
+/// document, so the common `{@attr}` interpolation allocates nothing.
+fn resolve<'a>(
+    stack: &[&'a Element],
     value: &ValueRef,
     position: usize,
-) -> Result<String, ApplyError> {
+) -> Result<Cow<'a, str>, ApplyError> {
     let current = *stack.last().expect("walk pushed the current element");
     Ok(match value {
-        ValueRef::Attr { parents, name } => context(stack, *parents, &format!("../@{name}"))?
-            .attr(name)
-            .unwrap_or("")
-            .to_string(),
-        ValueRef::Name => current.name().to_string(),
-        ValueRef::Text => current.text(),
-        ValueRef::Position => position.to_string(),
+        ValueRef::Attr { parents, name } => Cow::Borrowed(
+            context(stack, *parents, || format!("../@{name}"))?
+                .attr(name)
+                .unwrap_or(""),
+        ),
+        ValueRef::Name => Cow::Borrowed(current.name()),
+        ValueRef::Text => Cow::Owned(current.text()),
+        ValueRef::Position => Cow::Owned(position.to_string()),
         ValueRef::Path {
             parents,
             source,
             path,
         } => {
-            let base = context(stack, *parents, source)?;
-            path.select_values(base).into_iter().next().unwrap_or_default()
+            let base = context(stack, *parents, || source.clone())?;
+            Cow::Owned(
+                path.select_values(base)
+                    .into_iter()
+                    .next()
+                    .unwrap_or_default(),
+            )
         }
     })
 }
@@ -138,8 +143,7 @@ fn run_actions(
                     match piece {
                         EmitPiece::Literal(text) => out.push_str(text),
                         EmitPiece::Value(value) => {
-                            let v = resolve(stack, value, position)?;
-                            out.push_str(&v);
+                            out.push_str(&resolve(stack, value, position)?);
                         }
                     }
                 }
@@ -148,7 +152,7 @@ fn run_actions(
                 let targets: Vec<&Element> = match select {
                     None => current.child_elements().collect(),
                     Some(sel) => {
-                        let base = context(stack, sel.parents, &sel.source)?;
+                        let base = context(stack, sel.parents, || sel.source.clone())?;
                         sel.path.select(base)
                     }
                 };
@@ -157,7 +161,7 @@ fn run_actions(
                 }
             }
             Action::ForEach { select, body } => {
-                let base = context(stack, select.parents, &select.source)?;
+                let base = context(stack, select.parents, || select.source.clone())?;
                 let targets = select.path.select(base);
                 for (i, target) in targets.iter().enumerate() {
                     if stack.len() >= DEPTH_LIMIT {
@@ -179,7 +183,7 @@ fn run_actions(
                         // Existence of an attribute is presence, not
                         // non-emptiness of its value.
                         ValueRef::Attr { parents, name } => {
-                            context(stack, *parents, &format!("../@{name}"))?
+                            context(stack, *parents, || format!("../@{name}"))?
                                 .attr(name)
                                 .is_some()
                         }
@@ -188,7 +192,7 @@ fn run_actions(
                             source,
                             path,
                         } => {
-                            let base = context(stack, *parents, source)?;
+                            let base = context(stack, *parents, || source.clone())?;
                             !path.select(base).is_empty()
                         }
                         other => !resolve(stack, other, position)?.is_empty(),
@@ -318,7 +322,16 @@ mod tests {
         let sheet = parse_stylesheet(r#"template a { emit "{../@x}" }"#).unwrap();
         let doc = Document::parse("<a/>").unwrap();
         let err = apply(&sheet, doc.root()).unwrap_err();
-        assert!(matches!(err, ApplyError::ParentOfRoot { .. }));
+        assert_eq!(
+            err,
+            ApplyError::ParentOfRoot {
+                reference: "../@x".to_string()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "reference '../@x' climbs past the document root"
+        );
     }
 
     #[test]

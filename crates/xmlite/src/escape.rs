@@ -13,15 +13,24 @@
 /// ```
 pub fn escape_text(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
-    }
+    escape_text_into(text, &mut out);
     out
+}
+
+/// [`escape_text`] appending to `out` instead of allocating.
+///
+/// ```
+/// let mut out = String::from("<a>");
+/// xmlite::escape::escape_text_into("x & y", &mut out);
+/// assert_eq!(out, "<a>x &amp; y");
+/// ```
+pub fn escape_text_into(text: &str, out: &mut String) {
+    escape_into(text, out, |c| match c {
+        '<' => Some("&lt;"),
+        '>' => Some("&gt;"),
+        '&' => Some("&amp;"),
+        _ => None,
+    });
 }
 
 /// Escapes `value` for use inside a double-quoted attribute value.
@@ -31,19 +40,44 @@ pub fn escape_text(text: &str) -> String {
 /// ```
 pub fn escape_attr(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            _ => out.push(c),
+    escape_attr_into(value, &mut out);
+    out
+}
+
+/// [`escape_attr`] appending to `out` instead of allocating.
+///
+/// ```
+/// let mut out = String::from("v=\"");
+/// xmlite::escape::escape_attr_into("a\"b", &mut out);
+/// assert_eq!(out, "v=\"a&quot;b");
+/// ```
+pub fn escape_attr_into(value: &str, out: &mut String) {
+    escape_into(value, out, |c| match c {
+        '<' => Some("&lt;"),
+        '>' => Some("&gt;"),
+        '&' => Some("&amp;"),
+        '"' => Some("&quot;"),
+        '\'' => Some("&apos;"),
+        '\n' => Some("&#10;"),
+        '\t' => Some("&#9;"),
+        _ => None,
+    });
+}
+
+/// Appends `raw` to `out`, replacing each character `entity` maps. Runs
+/// between special characters are copied whole. The specials are all
+/// ASCII and bytes of multi-byte characters are all ≥ 0x80, so a byte
+/// that maps is a whole character and its position a char boundary.
+fn escape_into(raw: &str, out: &mut String, entity: impl Fn(char) -> Option<&'static str>) {
+    let mut start = 0;
+    for (i, b) in raw.bytes().enumerate() {
+        if let Some(replacement) = entity(char::from(b)) {
+            out.push_str(&raw[start..i]);
+            out.push_str(replacement);
+            start = i + 1;
         }
     }
-    out
+    out.push_str(&raw[start..]);
 }
 
 /// Expands entity and character references in `raw`.
@@ -108,6 +142,57 @@ mod tests {
         let samples = ["", "v", "a\"b", "a'b", "tab\there", "line\nbreak", "<&>"];
         for s in samples {
             assert_eq!(unescape(&escape_attr(s)).as_deref(), Some(s), "sample {s:?}");
+        }
+    }
+
+    #[test]
+    fn escape_into_appends_what_escape_returns() {
+        let samples = [
+            "",
+            "plain",
+            "a<b",
+            "a>b",
+            "a&b",
+            "a\"b",
+            "a'b",
+            "tab\there",
+            "line\nbreak",
+            "<&>\"'\n\t",
+            "já 名前 & <mixed>",
+        ];
+        for s in samples {
+            let mut text = String::from("prefix|");
+            escape_text_into(s, &mut text);
+            assert_eq!(text, format!("prefix|{}", escape_text(s)), "text {s:?}");
+            let mut attr = String::from("prefix|");
+            escape_attr_into(s, &mut attr);
+            assert_eq!(attr, format!("prefix|{}", escape_attr(s)), "attr {s:?}");
+        }
+    }
+
+    /// Character-at-a-time reference escaper, independent of the
+    /// run-copying one.
+    fn reference(raw: &str, attr: bool) -> String {
+        raw.chars()
+            .map(|c| match c {
+                '<' => "&lt;".to_string(),
+                '>' => "&gt;".to_string(),
+                '&' => "&amp;".to_string(),
+                '"' if attr => "&quot;".to_string(),
+                '\'' if attr => "&apos;".to_string(),
+                '\n' if attr => "&#10;".to_string(),
+                '\t' if attr => "&#9;".to_string(),
+                c => c.to_string(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn escapes_match_a_per_character_reference() {
+        let samples = ["", "plain", "<&>\"'\n\t", "já<名>前&", "&&", "end<"];
+        for s in samples {
+            assert_eq!(escape_text(s), reference(s, false), "text {s:?}");
+            assert_eq!(escape_attr(s), reference(s, true), "attr {s:?}");
         }
     }
 

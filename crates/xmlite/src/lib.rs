@@ -58,7 +58,23 @@ pub use writer::WriteOptions;
 /// # }
 /// ```
 pub fn loc(doc: &Document) -> usize {
-    doc.to_pretty_string()
+    loc_of_pretty(&doc.to_pretty_string())
+}
+
+/// [`loc`] of a document already rendered by
+/// [`Document::to_pretty_string`], for callers that keep the text and
+/// should not render it a second time just to count it.
+///
+/// ```
+/// use xmlite::{Document, loc, loc_of_pretty};
+/// # fn main() -> Result<(), xmlite::ParseXmlError> {
+/// let doc = Document::parse("<a><b/><c/></a>")?;
+/// assert_eq!(loc_of_pretty(&doc.to_pretty_string()), loc(&doc));
+/// # Ok(())
+/// # }
+/// ```
+pub fn loc_of_pretty(pretty: &str) -> usize {
+    pretty
         .lines()
         .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with("<?"))
         .count()
@@ -72,6 +88,18 @@ mod tests {
     fn loc_counts_pretty_lines() {
         let doc = Document::parse("<a><b x='1'/><b x='2'/></a>").unwrap();
         assert_eq!(loc(&doc), 4);
+    }
+
+    #[test]
+    fn loc_of_pretty_text_matches_loc() {
+        for xml in [
+            "<a/>",
+            "<a><b x='1'/><b x='2'/></a>",
+            "<a>text<b/>more<!--c--><c><d>x &lt; y</d></c></a>",
+        ] {
+            let doc = Document::parse(xml).unwrap();
+            assert_eq!(loc_of_pretty(&doc.to_pretty_string()), loc(&doc), "{xml}");
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn write_element_into(element: &Element, options: &WriteOptions, depth: usize, o
         out.push(' ');
         out.push_str(name);
         out.push_str("=\"");
-        out.push_str(&escape::escape_attr(value));
+        escape::escape_attr_into(value, out);
         out.push('"');
     }
     if element.children().is_empty() {
@@ -97,7 +97,7 @@ fn write_element_into(element: &Element, options: &WriteOptions, depth: usize, o
     if text_only {
         for node in element.children() {
             if let Node::Text(t) = node {
-                out.push_str(&escape::escape_text(t));
+                escape::escape_text_into(t, out);
             }
         }
     } else {
@@ -107,7 +107,7 @@ fn write_element_into(element: &Element, options: &WriteOptions, depth: usize, o
                 Node::Element(child) => write_element_into(child, options, depth + 1, out),
                 Node::Text(t) => {
                     push_indent(out, options, depth + 1);
-                    out.push_str(&escape::escape_text(t));
+                    escape::escape_text_into(t, out);
                 }
                 Node::Comment(c) => {
                     push_indent(out, options, depth + 1);

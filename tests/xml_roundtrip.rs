@@ -92,14 +92,14 @@ fn stock_stylesheets_apply_to_all_real_dialect_documents() {
             xform::stylesheets::datapath_to_hds(),
             xform::stylesheets::datapath_to_dot(),
         ] {
-            let out = xform::apply(&sheet, dp_doc.root()).expect("applies");
+            let out = xform::apply(sheet, dp_doc.root()).expect("applies");
             assert!(!out.is_empty());
         }
         for sheet in [
             xform::stylesheets::fsm_to_behavior(),
             xform::stylesheets::fsm_to_dot(),
         ] {
-            let out = xform::apply(&sheet, fsm_doc.root()).expect("applies");
+            let out = xform::apply(sheet, fsm_doc.root()).expect("applies");
             assert!(!out.is_empty());
         }
     }
@@ -108,8 +108,78 @@ fn stock_stylesheets_apply_to_all_real_dialect_documents() {
         xform::stylesheets::rtg_to_controller(),
         xform::stylesheets::rtg_to_dot(),
     ] {
-        let out = xform::apply(&sheet, rtg_doc.root()).expect("applies");
+        let out = xform::apply(sheet, rtg_doc.root()).expect("applies");
         assert!(out.contains("c0") && out.contains("c1"));
+    }
+}
+
+#[test]
+fn shared_stock_stylesheets_render_like_freshly_parsed_ones() {
+    use xform::stylesheets::*;
+    let design = fdct_design();
+    let config = &design.configs[0];
+    let dp_doc = nenya::xml::emit_datapath(&config.datapath);
+    let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
+    let rtg_doc = nenya::xml::emit_rtg(&design.rtg);
+    type Accessor = fn() -> &'static xform::Stylesheet;
+    let stock: [(Accessor, &str, &Document); 7] = [
+        (datapath_to_hds, DATAPATH_TO_HDS_SRC, &dp_doc),
+        (datapath_to_dot, DATAPATH_TO_DOT_SRC, &dp_doc),
+        (datapath_to_verilog, DATAPATH_TO_VERILOG_SRC, &dp_doc),
+        (fsm_to_behavior, FSM_TO_BEHAVIOR_SRC, &fsm_doc),
+        (fsm_to_dot, FSM_TO_DOT_SRC, &fsm_doc),
+        (rtg_to_controller, RTG_TO_CONTROLLER_SRC, &rtg_doc),
+        (rtg_to_dot, RTG_TO_DOT_SRC, &rtg_doc),
+    ];
+    for (accessor, source, doc) in stock {
+        let fresh = xform::parse_stylesheet(source).expect("stock source parses");
+        let shared = xform::apply(accessor(), doc.root()).expect("applies");
+        assert_eq!(shared, xform::apply(&fresh, doc.root()).expect("applies"));
+        assert!(!shared.is_empty());
+    }
+}
+
+#[test]
+fn table1_xml_line_counts_come_from_the_rendered_artifacts() {
+    let design = compile(
+        "fdct2",
+        &workloads::fdct_source(64),
+        &CompileOptions {
+            width: 32,
+            partitions: 2,
+            ..CompileOptions::default()
+        },
+    )
+    .expect("fdct compiles");
+    let image = fpgatest::stimulus::Stimulus::from_values((0..64).map(|i| (i * 37) % 256));
+    let report = fpgatest::flow::run_design(
+        &design,
+        &[("img".to_string(), image)],
+        &fpgatest::flow::FlowOptions::default(),
+    )
+    .expect("flow runs");
+    assert!(report.passed);
+    assert_eq!(report.metrics.configs.len(), 2);
+    let artifacts = report
+        .artifacts
+        .as_ref()
+        .expect("artifacts kept by default");
+    for ((config, metrics), rendered) in design
+        .configs
+        .iter()
+        .zip(&report.metrics.configs)
+        .zip(&artifacts.configs)
+    {
+        let dp_doc = nenya::xml::emit_datapath(&config.datapath);
+        let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
+        assert_eq!(rendered.datapath_xml, dp_doc.to_pretty_string());
+        assert_eq!(rendered.fsm_xml, fsm_doc.to_pretty_string());
+        assert_eq!(metrics.lo_xml_datapath, xmlite::loc(&dp_doc));
+        assert_eq!(metrics.lo_xml_fsm, xmlite::loc(&fsm_doc));
+        assert_eq!(
+            xmlite::loc_of_pretty(&rendered.datapath_xml),
+            xmlite::loc(&dp_doc)
+        );
     }
 }
 
